@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -168,7 +169,7 @@ class ProbabilityDistribution:
         object.__setattr__(self, "probabilities", tuple(float(p) for p in self.probabilities))
         if not self.probabilities:
             raise EvidenceError("a distribution needs at least one outcome")
-        if any(p <= 0.0 for p in self.probabilities):
+        if not all(p > 0.0 for p in self.probabilities):
             raise NegativeMassError("probabilities must be strictly positive")
         total = math.fsum(self.probabilities)
         if abs(total - 1.0) > MASS_TOLERANCE:
@@ -201,9 +202,9 @@ class MassFunction:
         """Validated construction.
 
         Zero masses are dropped (a subset with no mass is simply not
-        focal); negative masses, duplicate subsets, subsets from a
-        different frame, and totals off one by more than ``tolerance``
-        are rejected.
+        focal); negative, NaN and float-overflowing masses, duplicate
+        subsets, subsets from a different frame, and totals off one by
+        more than ``tolerance`` are rejected.
         """
         if not tolerance > 0.0:
             raise ValueError("tolerance must be positive")
@@ -213,9 +214,12 @@ class MassFunction:
         for subset, mass in assignments:
             if subset.frame != frame:
                 raise EvidenceError("subset belongs to a different frame")
-            mass = float(mass)
-            if mass < 0.0:
-                raise NegativeMassError(f"mass {mass!r} for {subset!r} is negative")
+            try:
+                mass = float(mass)
+            except OverflowError:
+                raise EvidenceError(f"mass for {subset!r} is too large for a float") from None
+            if not mass >= 0.0:
+                raise NegativeMassError(f"mass {mass!r} for {subset!r} is negative or NaN")
             if subset.mask in kept:
                 raise DuplicateSubsetError(f"duplicate assignment for {subset!r}")
             kept[subset.mask] = (subset, mass)
@@ -250,9 +254,9 @@ class MassFunction:
         """Compress to per-cardinality (count, shared mass) rows.
 
         Requires all focal sets of equal cardinality to carry equal mass
-        (within :data:`SYMMETRY_TOLERANCE`); the stored representative is
-        the mass of the lowest-mask subset in each layer, which makes the
-        profile -> explicit round trip bit-exact.
+        (within a relative :data:`SYMMETRY_TOLERANCE`); the stored
+        representative is the mass of the lowest-mask subset in each layer,
+        which makes the profile -> explicit round trip bit-exact.
         """
         layers: dict[int, list[float]] = {}
         for subset, mass in self.focal:
@@ -260,7 +264,10 @@ class MassFunction:
         rows = {}
         for card in sorted(layers):
             masses = layers[card]
-            if any(abs(m - masses[0]) > SYMMETRY_TOLERANCE for m in masses):
+            if not all(
+                math.isclose(m, masses[0], rel_tol=SYMMETRY_TOLERANCE, abs_tol=0.0)
+                for m in masses
+            ):
                 raise NotCardinalitySymmetricError(
                     f"focal sets of cardinality {card} carry unequal masses"
                 )
@@ -351,15 +358,12 @@ class CardinalityProfile:
         )
 
     def total_mass(self) -> float:
-        """Sum of count * mass over all rows, log-domain safe."""
+        """Sum of count * mass over all rows, summed in the log domain."""
         if not self.rows:
             return 0.0
-        if self.frame_size <= MAX_EXPLICIT_FRAME:
-            return math.fsum(row.count * row.mass for _, row in self.rows)
-        log2_total = _logsumexp2(
+        return 2.0 ** _logsumexp2(
             [math.log2(row.count) + row.log2_mass for _, row in self.rows]
         )
-        return 2.0 ** log2_total
 
     @property
     def focal_set_count(self) -> int:
@@ -415,12 +419,22 @@ def _logsumexp2(values: list[float]) -> float:
 
 # JSON wire format, shared by the CLI:
 # {"frame": ["a", "b"], "focal": [{"elements": ["a"], "mass": 0.5}, ...]}
-# Unknown keys and duplicate (order-insensitive) subsets are rejected.
+# Unknown keys, repeated keys and duplicate (order-insensitive) subsets are
+# rejected.
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        repeated = sorted(key for key, count in counts.items() if count > 1)
+        raise EvidenceError(f"repeated keys in a mass-function JSON object: {repeated}")
+    return data
 
 
 def mass_from_json(text: str, tolerance: float = MASS_TOLERANCE) -> MassFunction:
     """Parse the JSON mass-function format, strictly."""
-    data = json.loads(text)
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
         raise EvidenceError("top-level JSON value must be an object")
     extra = set(data) - {"frame", "focal"}
@@ -447,7 +461,7 @@ def mass_from_json(text: str, tolerance: float = MASS_TOLERANCE) -> MassFunction
         mass = entry["mass"]
         if isinstance(mass, bool) or not isinstance(mass, (int, float)):
             raise EvidenceError('"mass" must be a number')
-        assignments.append((frame.subset(entry["elements"]), float(mass)))
+        assignments.append((frame.subset(entry["elements"]), mass))
     return MassFunction.from_assignments(frame, assignments, tolerance)
 
 

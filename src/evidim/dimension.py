@@ -10,11 +10,10 @@ logarithm base, so the ratio is base-free.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .core import MAX_EXPLICIT_FRAME, CardinalityProfile, MassFunction, ProbabilityDistribution, _logsumexp2
-from .entropy import BASE_2, check_base, deng_entropy, deng_entropy_profile, shannon_entropy, _from_bits, _log
+from .core import CardinalityProfile, MassFunction, ProbabilityDistribution
+from .entropy import BASE_2, Row, _bits, _from_bits, _mass_rows, _probability_rows, _profile_rows
 
 
 @dataclass(frozen=True)
@@ -39,34 +38,20 @@ def split_scale(mass: MassFunction, base: float = BASE_2) -> float:
     (term 1^1); the split scale is therefore 0 iff the mass function is
     that degenerate case, and positive otherwise.
     """
-    base = check_base(base)
-    total = math.fsum(
-        (2 ** subset.cardinality - 1) ** m for subset, m in mass.focal
-    )
-    return _log(total, base)
+    return _from_bits(_bits(_mass_rows(mass))[1], base)
 
 
 def split_scale_profile(profile: CardinalityProfile, base: float = BASE_2) -> float:
     """Split scale grouped by cardinality: log sum_k count_k (2^k - 1)^m_k."""
-    base = check_base(base)
-    if profile.frame_size <= MAX_EXPLICIT_FRAME:
-        total = math.fsum(
-            row.count * (2 ** card - 1) ** row.mass for card, row in profile.rows
-        )
-        return _log(total, base)
-    # beyond the explicit cap the sum itself can overflow; stay in log2 space
-    bits = _logsumexp2(
-        [
-            math.log2(row.count) + _exponent(row) * math.log2((1 << card) - 1)
-            for card, row in profile.rows
-        ]
-    )
-    return _from_bits(bits, base)
+    return _from_bits(_bits(_profile_rows(profile))[1], base)
 
 
-def _exponent(row) -> float:
-    # underflowed masses still act as an exponent of ~0, which is exact enough
-    return row.mass if row.mass > 0.0 else 2.0 ** row.log2_mass
+def _report(rows: list[Row]) -> DimensionReport:
+    # one focal set of cardinality 1 is the only split scale of exactly 0
+    if len(rows) == 1 and rows[0][:2] == (1, 0.0):
+        return _DEGENERATE
+    entropy, split = _bits(rows)
+    return DimensionReport(entropy, split, entropy / split, False)
 
 
 def information_dimension(mass: MassFunction) -> DimensionReport:
@@ -76,20 +61,12 @@ def information_dimension(mass: MassFunction) -> DimensionReport:
     mass function with split scale exactly 0) is detected from the focal
     structure rather than by comparing the denominator to zero.
     """
-    if len(mass.focal) == 1 and mass.focal[0][0].cardinality == 1:
-        return _DEGENERATE
-    entropy = deng_entropy(mass)
-    split = split_scale(mass)
-    return DimensionReport(entropy, split, entropy / split, False)
+    return _report(_mass_rows(mass))
 
 
 def information_dimension_profile(profile: CardinalityProfile) -> DimensionReport:
     """Profile-evaluated dimension; same contract as the explicit form."""
-    if profile.is_single_singleton:
-        return _DEGENERATE
-    entropy = deng_entropy_profile(profile)
-    split = split_scale_profile(profile)
-    return DimensionReport(entropy, split, entropy / split, False)
+    return _report(_profile_rows(profile))
 
 
 def probability_dimension(dist: ProbabilityDistribution) -> DimensionReport:
@@ -99,8 +76,4 @@ def probability_dimension(dist: ProbabilityDistribution) -> DimensionReport:
     denominator collapses to log(N).  A single-outcome distribution is
     the degenerate 0/0 case.
     """
-    if dist.size == 1:
-        return _DEGENERATE
-    entropy = shannon_entropy(dist)
-    split = math.log2(dist.size)
-    return DimensionReport(entropy, split, entropy / split, False)
+    return _report(_probability_rows(dist))

@@ -3,14 +3,12 @@ table rendering.
 
 A sweep evaluates one family at every N in a range and records the
 (entropy, split scale, dimension) triple per row.  Output is
-deterministic: rows may be computed concurrently, but each row's internal
-sums run in ascending cardinality and exact summation makes the result
-independent of scheduling.
+deterministic: each row's sums run in ascending cardinality with exact
+summation.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import EvidenceError
@@ -44,29 +42,19 @@ class ConvergenceVerdict:
     tolerance: float
 
 
-def run_convergence(
-    family: str, n_min: int, n_max: int, workers: int = 1
-) -> ConvergenceTable:
+def run_convergence(family: str, n_min: int, n_max: int) -> ConvergenceTable:
     """One row per N in [n_min, n_max], evaluated through the profile path."""
     if not 1 <= n_min <= n_max:
         raise EvidenceError(f"invalid sweep range {n_min}..{n_max}")
     if n_max > PROFILE_LIMIT:
         raise EvidenceError(f"sweep range exceeds the profile limit {PROFILE_LIMIT}")
-    family_profile(family, n_min)  # fail fast on unknown names
-
-    def row(n: int) -> ConvergenceRow:
+    rows = []
+    for n in range(n_min, n_max + 1):
         report = information_dimension_profile(family_profile(family, n))
-        return ConvergenceRow(
-            n, report.entropy_bits, report.split_scale_bits, report.dimension
+        rows.append(
+            ConvergenceRow(n, report.entropy_bits, report.split_scale_bits, report.dimension)
         )
-
-    ns = range(n_min, n_max + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(row, ns))
-    else:
-        rows = tuple(row(n) for n in ns)
-    return ConvergenceTable(family, rows)
+    return ConvergenceTable(family, tuple(rows))
 
 
 def detect_limit(table: ConvergenceTable, window: int, tol: float) -> ConvergenceVerdict:

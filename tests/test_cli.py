@@ -129,6 +129,33 @@ class TestComputeErrors:
         )
         assert code == 2
 
+    def test_nan_mass(self, tmp_path):
+        code, err = self.run_with_payload(
+            tmp_path,
+            {"frame": ["a", "b"], "focal": [
+                {"elements": ["a"], "mass": math.nan},
+                {"elements": ["b"], "mass": 1.0},
+            ]},
+        )
+        assert code == 2
+        assert "NegativeMass" in err and "Traceback" not in err
+
+    def test_mass_too_large_for_a_float(self, tmp_path):
+        code, err = self.run_with_payload(
+            tmp_path, {"frame": ["a"], "focal": [{"elements": ["a"], "mass": 10**400}]}
+        )
+        assert code == 2
+        assert "EvidenceError" in err and "Traceback" not in err
+
+    def test_repeated_keys(self, tmp_path):
+        code, err = self.run_with_payload(
+            tmp_path,
+            '{"frame": ["a", "b"], "focal": [{"elements": ["a"], "mass": 0.25, '
+            '"mass": 0.5}, {"elements": ["b"], "mass": 0.5}]}',
+        )
+        assert code == 2
+        assert "repeated keys" in err and "Traceback" not in err
+
     def test_missing_file(self, tmp_path):
         assert main(["compute", str(tmp_path / "absent.json")]) == 2
 

@@ -121,6 +121,18 @@ class TestMassConstruction:
                 [(two_frame.subset(["w1"]), 1.5), (two_frame.subset(["w2"]), -0.5)],
             )
 
+    def test_nan_mass_rejected(self, two_frame):
+        # the other mass sums to 1, so only the NaN check can reject this
+        with pytest.raises(NegativeMassError):
+            MassFunction.from_assignments(
+                two_frame,
+                [(two_frame.subset(["w1"]), math.nan), (two_frame.subset(["w2"]), 1.0)],
+            )
+
+    def test_mass_too_large_for_a_float_rejected(self, two_frame):
+        with pytest.raises(EvidenceError):
+            MassFunction.from_assignments(two_frame, {two_frame.subset(["w1"]): 10**400})
+
     def test_duplicate_subsets_rejected(self, two_frame):
         a = two_frame.subset(["w1"])
         with pytest.raises(DuplicateSubsetError):
@@ -182,6 +194,8 @@ class TestProbabilityDistribution:
             ProbabilityDistribution((0.5, 0.6))
         with pytest.raises(NegativeMassError):
             ProbabilityDistribution((1.5, -0.5))
+        with pytest.raises(NegativeMassError):
+            ProbabilityDistribution((math.nan, 1.0))
         with pytest.raises(EvidenceError):
             ProbabilityDistribution(())
 
@@ -200,6 +214,20 @@ class TestProfiles:
         frame = Frame(("a", "b"))
         mass = MassFunction.from_assignments(
             frame, {frame.subset(["a"]): 0.3, frame.subset(["b"]): 0.7}
+        )
+        with pytest.raises(NotCardinalitySymmetricError):
+            mass.to_profile()
+
+    def test_symmetry_tolerance_is_relative(self):
+        # 1e-13 and 5e-13 lie within 1e-12 of each other, but differ fivefold
+        frame = Frame(("a", "b", "c"))
+        mass = MassFunction.from_assignments(
+            frame,
+            {
+                frame.subset(["a"]): 1e-13,
+                frame.subset(["b"]): 5e-13,
+                frame.full_set(): 1.0 - 6e-13,
+            },
         )
         with pytest.raises(NotCardinalitySymmetricError):
             mass.to_profile()
@@ -388,6 +416,19 @@ class TestJsonFormat:
         text = json.dumps({"frame": ["a"], "focal": [{"elements": [], "mass": 1.0}]})
         with pytest.raises(EmptySubsetError):
             mass_from_json(text)
+
+    def test_repeated_keys_rejected(self):
+        # last-wins would read a valid mass function from either object
+        repeated_mass = (
+            '{"frame": ["a", "b"], "focal": [{"elements": ["a"], "mass": 0.25, '
+            '"mass": 0.5}, {"elements": ["b"], "mass": 0.5}]}'
+        )
+        repeated_frame = (
+            '{"frame": ["x"], "frame": ["a"], "focal": [{"elements": ["a"], "mass": 1.0}]}'
+        )
+        for text in (repeated_mass, repeated_frame):
+            with pytest.raises(EvidenceError, match="repeated keys"):
+                mass_from_json(text)
 
     def test_malformed_json_raises(self):
         with pytest.raises(json.JSONDecodeError):

@@ -187,8 +187,8 @@ class TestLargeFrames:
         )
 
     def test_profile_paths_agree_across_the_representation_switch(self):
-        # frame sizes just below and above the explicit cap take the two
-        # different summation routes; values must line up
+        # frame sizes just below and above the explicit frame cap; the
+        # closed-form maximum and the report identity must hold on both sides
         for n in (63, 64, 65, 66):
             report = information_dimension_profile(max_deng(n))
             assert report.entropy_bits == pytest.approx(

@@ -54,8 +54,9 @@ class TestShannon:
             shannon_max(0)
 
     def test_base_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            shannon_entropy(uniform(2), base=1.0)
+        for base in (1.0, math.inf):
+            with pytest.raises(ValueError):
+                shannon_entropy(uniform(2), base=base)
 
 
 class TestDeng:
