@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Thin adapter over the library: parses arguments, reads the JSON
-mass-function format, and renders reports and sweep tables.  Exit codes
+mass-function format, runs the oracle check and rescales to the chosen
+logarithm base; :mod:`evidim.experiments` renders the text.  Exit codes
 are stable: 0 success, 2 input or validation error, 3 oracle mismatch.
 """
 from __future__ import annotations
@@ -10,15 +11,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .core import mass_from_json
 from .dimension import DimensionReport, information_dimension
 from .experiments import (
-    ConvergenceRow,
-    ConvergenceTable,
     detect_limit,
     render_plot_data,
+    render_rows,
     render_table,
     run_convergence,
 )
@@ -27,6 +28,7 @@ from .oracle import brute_force_report, compare_reports
 
 ORACLE_TOLERANCE = 1e-9
 _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
+_REPORT_HEADER = ("entropy_bits", "split_scale_bits", "dimension", "degenerate")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +69,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _common_flags(cmd: argparse.ArgumentParser):
-    cmd.add_argument("--decimals", type=int, default=4, help="rounded display digits, 1-15")
+    cmd.add_argument(
+        "--decimals",
+        type=int,
+        choices=range(1, 16),
+        default=4,
+        metavar="{1..15}",
+        help="rounded display digits",
+    )
     cmd.add_argument(
         "--base",
         choices=tuple(_BASES),
@@ -94,7 +103,6 @@ def main(argv=None) -> int:
 
 
 def _cmd_compute(args) -> int:
-    _check_decimals(args.decimals)
     mass = mass_from_json(Path(args.file).read_text(encoding="utf-8"))
     report = information_dimension(mass)
     if args.oracle:
@@ -107,72 +115,31 @@ def _cmd_compute(args) -> int:
             )
             return 3
     scale = math.log2(_BASES[args.base])
-    entropy = report.entropy_bits if scale == 1.0 else report.entropy_bits / scale
-    split = report.split_scale_bits if scale == 1.0 else report.split_scale_bits / scale
+    row = (report.entropy_bits / scale, report.split_scale_bits / scale,
+           report.dimension, report.degenerate)
     if args.format == "json":
-        payload = {
-            "entropy_bits": entropy,
-            "split_scale_bits": split,
-            "dimension": report.dimension,
-            "degenerate": report.degenerate,
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(dict(zip(_REPORT_HEADER, row)), indent=2) + "\n")
     else:
-        d = args.decimals
-        cells = (f"{entropy:.{d}f}", f"{split:.{d}f}", f"{report.dimension:.{d}f}",
-                 "true" if report.degenerate else "false")
-        header = ("entropy_bits", "split_scale_bits", "dimension", "degenerate")
-        if args.format == "csv":
-            sys.stdout.write(",".join(header) + "\n" + ",".join(cells) + "\n")
-        else:
-            sys.stdout.write(
-                "| " + " | ".join(header) + " |\n"
-                + "|" + " --- |" * len(header) + "\n"
-                + "| " + " | ".join(cells) + " |\n"
-            )
+        sys.stdout.write(render_rows(_REPORT_HEADER, [row], args.format, args.decimals))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    _check_decimals(args.decimals)
     table = run_convergence(args.family, args.n_min, args.n_max)
     verdict = None
     if args.detect_limit is not None:
         tol, window = float(args.detect_limit[0]), int(args.detect_limit[1])
         verdict = detect_limit(table, window, tol)
     scale = math.log2(_BASES[args.base])
-    display = table if scale == 1.0 else _rescale(table, scale)
+    display = replace(table, rows=tuple(
+        replace(row, entropy_bits=row.entropy_bits / scale,
+                split_scale_bits=row.split_scale_bits / scale)
+        for row in table.rows
+    ))
     if args.plot_data:
         Path(args.plot_data).write_text(render_plot_data(display), encoding="utf-8")
-    out = render_table(display, args.format, args.decimals)
-    if verdict is not None:
-        if args.format == "json":
-            payload = json.loads(out)
-            payload["verdict"] = {
-                "converged": verdict.converged,
-                "limit_estimate": verdict.limit_estimate,
-                "achieved_at_n": verdict.achieved_at_n,
-                "tolerance": verdict.tolerance,
-            }
-            out = json.dumps(payload, indent=2) + "\n"
-        else:
-            word = "converged" if verdict.converged else "not-converged"
-            out += f"{word} limit={verdict.limit_estimate:.{args.decimals}f}\n"
-    sys.stdout.write(out)
+    sys.stdout.write(render_table(display, args.format, args.decimals, verdict))
     return 0
-
-
-def _rescale(table: ConvergenceTable, scale: float) -> ConvergenceTable:
-    rows = tuple(
-        ConvergenceRow(r.n, r.entropy_bits / scale, r.split_scale_bits / scale, r.dimension)
-        for r in table.rows
-    )
-    return ConvergenceTable(table.family, rows)
-
-
-def _check_decimals(decimals: int):
-    if not 1 <= decimals <= 15:
-        raise ValueError("decimals must be between 1 and 15")
 
 
 def _triple(report: DimensionReport) -> str:

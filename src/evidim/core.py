@@ -166,7 +166,9 @@ class ProbabilityDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "probabilities", tuple(float(p) for p in self.probabilities))
+        object.__setattr__(
+            self, "probabilities", tuple(_as_mass(p, "a probability") for p in self.probabilities)
+        )
         if not self.probabilities:
             raise EvidenceError("a distribution needs at least one outcome")
         if not all(p > 0.0 for p in self.probabilities):
@@ -214,12 +216,7 @@ class MassFunction:
         for subset, mass in assignments:
             if subset.frame != frame:
                 raise EvidenceError("subset belongs to a different frame")
-            try:
-                mass = float(mass)
-            except OverflowError:
-                raise EvidenceError(f"mass for {subset!r} is too large for a float") from None
-            if not mass >= 0.0:
-                raise NegativeMassError(f"mass {mass!r} for {subset!r} is negative or NaN")
+            mass = _as_mass(mass, subset)
             if subset.mask in kept:
                 raise DuplicateSubsetError(f"duplicate assignment for {subset!r}")
             kept[subset.mask] = (subset, mass)
@@ -289,8 +286,8 @@ class ProfileRow:
 
     @classmethod
     def from_mass(cls, count: int, mass: float) -> ProfileRow:
-        mass = float(mass)
-        if mass <= 0.0:
+        mass = _as_mass(mass, "a profile row")
+        if mass == 0.0:
             raise NegativeMassError("per-set mass must be strictly positive")
         return cls(count, mass, math.log2(mass))
 
@@ -366,10 +363,6 @@ class CardinalityProfile:
         )
 
     @property
-    def focal_set_count(self) -> int:
-        return sum(row.count for _, row in self.rows)
-
-    @property
     def is_single_singleton(self) -> bool:
         """True iff the whole mass sits on one singleton (degenerate case)."""
         return (
@@ -411,6 +404,18 @@ class CardinalityProfile:
         return MassFunction.from_assignments(frame, assignments)
 
 
+def _as_mass(value, owner) -> float:
+    """``value`` as a float: too large for one is an EvidenceError, and
+    NaN or negative a NegativeMassError.  ``owner`` names it in messages."""
+    try:
+        mass = float(value)
+    except OverflowError:
+        raise EvidenceError(f"mass of {owner} is too large for a float") from None
+    if not mass >= 0.0:
+        raise NegativeMassError(f"mass {mass!r} of {owner} is negative or NaN")
+    return mass
+
+
 def _logsumexp2(values: list[float]) -> float:
     """log2 of a sum of powers of two, shifted to avoid overflow."""
     top = max(values)
@@ -434,7 +439,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def mass_from_json(text: str, tolerance: float = MASS_TOLERANCE) -> MassFunction:
     """Parse the JSON mass-function format, strictly."""
-    data = json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise EvidenceError("mass-function JSON is nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise EvidenceError("top-level JSON value must be an object")
     extra = set(data) - {"frame", "focal"}

@@ -9,7 +9,7 @@ summation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import EvidenceError
 from .dimension import information_dimension_profile
@@ -89,46 +89,53 @@ def detect_limit(table: ConvergenceTable, window: int, tol: float) -> Convergenc
 _HEADER = ("N", "entropy_bits", "split_scale_bits", "dimension")
 
 
-def render_table(table: ConvergenceTable, fmt: str = "csv", decimals: int = 4) -> str:
-    """Render as csv, markdown, or json.
+def render_rows(header: tuple[str, ...], rows, fmt: str, decimals: int) -> str:
+    """csv or markdown text of ``rows`` under ``header``.
 
-    csv and markdown round half-to-even to ``decimals``; json always
-    carries full-precision values.
+    Floats round half-to-even to ``decimals``; bools read ``true`` /
+    ``false`` and ints print as they are.
+    """
+    def cell(value) -> str:
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return f"{value:.{decimals}f}"
+        return str(value)
+
+    lines = [header, *([cell(value) for value in row] for row in rows)]
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in lines)
+    if fmt == "markdown":
+        lines.insert(1, ["---"] * len(header))
+        return "".join("| " + " | ".join(line) + " |\n" for line in lines)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def render_table(
+    table: ConvergenceTable,
+    fmt: str = "csv",
+    decimals: int = 4,
+    verdict: ConvergenceVerdict | None = None,
+) -> str:
+    """Render as csv, markdown, or json, with an optional verdict.
+
+    csv and markdown round half-to-even to ``decimals`` and end with a
+    ``converged limit=...`` line when a verdict is given; json always
+    carries full-precision values and the verdict as a ``"verdict"`` key.
     """
     if not 1 <= decimals <= 15:
         raise ValueError("decimals must be between 1 and 15")
-
-    def cells(row: ConvergenceRow) -> tuple[str, ...]:
-        return (
-            str(row.n),
-            f"{row.entropy_bits:.{decimals}f}",
-            f"{row.split_scale_bits:.{decimals}f}",
-            f"{row.dimension:.{decimals}f}",
-        )
-
-    if fmt == "csv":
-        lines = [",".join(_HEADER)]
-        lines += [",".join(cells(row)) for row in table.rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        lines = ["| " + " | ".join(_HEADER) + " |", "|" + " --- |" * len(_HEADER)]
-        lines += ["| " + " | ".join(cells(row)) + " |" for row in table.rows]
-        return "\n".join(lines) + "\n"
+    rows = [(row.n, row.entropy_bits, row.split_scale_bits, row.dimension) for row in table.rows]
     if fmt == "json":
-        payload = {
-            "family": table.family,
-            "rows": [
-                {
-                    "N": row.n,
-                    "entropy_bits": row.entropy_bits,
-                    "split_scale_bits": row.split_scale_bits,
-                    "dimension": row.dimension,
-                }
-                for row in table.rows
-            ],
-        }
+        payload = {"family": table.family, "rows": [dict(zip(_HEADER, row)) for row in rows]}
+        if verdict is not None:
+            payload["verdict"] = asdict(verdict)
         return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    out = render_rows(_HEADER, rows, fmt, decimals)
+    if verdict is not None:
+        word = "converged" if verdict.converged else "not-converged"
+        out += f"{word} limit={verdict.limit_estimate:.{decimals}f}\n"
+    return out
 
 
 def render_plot_data(table: ConvergenceTable) -> str:

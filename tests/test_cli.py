@@ -13,6 +13,11 @@ from evidim import DimensionReport, mass_to_json
 from evidim.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+# exact stdout of compute and sweep across formats, bases and --decimals,
+# read by TestPinnedStdout; argv names the files written by that test
+PINNED_STDOUT = json.loads(
+    (Path(__file__).resolve().parent / "cli_stdout.json").read_text(encoding="utf-8")
+)
 
 EXAMPLE = {
     "frame": ["w1", "w2"],
@@ -90,6 +95,26 @@ class TestCompute:
         }
 
 
+class TestPinnedStdout:
+    """Byte-exact stdout, including full-precision json and rounding at
+    the widest and narrowest --decimals, for a regular and a degenerate
+    (single-singleton) mass function."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(case["argv"], case["stdout"]) for case in PINNED_STDOUT],
+        ids=[" ".join(case["argv"]) for case in PINNED_STDOUT],
+    )
+    def test_stdout_bytes(self, argv, expected, tmp_path, monkeypatch, capsys):
+        (tmp_path / "pair.json").write_text(json.dumps(EXAMPLE))
+        (tmp_path / "point.json").write_text(
+            json.dumps({"frame": ["a"], "focal": [{"elements": ["a"], "mass": 1.0}]})
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestComputeErrors:
     def run_with_payload(self, tmp_path, payload) -> tuple[int, str]:
         path = tmp_path / "bad.json"
@@ -155,6 +180,11 @@ class TestComputeErrors:
         )
         assert code == 2
         assert "repeated keys" in err and "Traceback" not in err
+
+    def test_deeply_nested_json(self, tmp_path):
+        code, err = self.run_with_payload(tmp_path, "[" * 100_000 + "]" * 100_000)
+        assert code == 2
+        assert "EvidenceError" in err and "Traceback" not in err
 
     def test_missing_file(self, tmp_path):
         assert main(["compute", str(tmp_path / "absent.json")]) == 2

@@ -155,8 +155,12 @@ class TestMassConstruction:
 
     def test_foreign_subset_rejected(self, two_frame):
         other = Frame(("x", "y"))
-        with pytest.raises(EvidenceError):
-            MassFunction.from_assignments(two_frame, {other.subset(["x"]): 1.0})
+        # same labels in another order: without the frame check, mask 0b01
+        # would silently move the mass from w2 to w1
+        reordered = Frame(("w2", "w1"))
+        for subset in (other.subset(["x"]), reordered.subset(["w2"])):
+            with pytest.raises(EvidenceError, match="different frame"):
+                MassFunction.from_assignments(two_frame, {subset: 1.0})
 
 
 class TestBayesian:
@@ -198,6 +202,8 @@ class TestProbabilityDistribution:
             ProbabilityDistribution((math.nan, 1.0))
         with pytest.raises(EvidenceError):
             ProbabilityDistribution(())
+        with pytest.raises(EvidenceError, match="too large for a float"):
+            ProbabilityDistribution((10**400,))
 
 
 class TestProfiles:
@@ -273,6 +279,10 @@ class TestProfiles:
             CardinalityProfile.from_counts(2, {3: (1, 1.0)})  # k > N
         with pytest.raises(NegativeMassError):
             ProfileRow.from_mass(1, 0.0)
+        with pytest.raises(NegativeMassError):
+            ProfileRow.from_mass(1, math.nan)
+        with pytest.raises(EvidenceError, match="too large for a float"):
+            CardinalityProfile.from_counts(2, {1: (2, 10**400)})
 
     def test_zero_count_rows_dropped(self):
         profile = CardinalityProfile.from_counts(2, {1: (0, 0.0), 2: (1, 1.0)})
@@ -429,6 +439,10 @@ class TestJsonFormat:
         for text in (repeated_mass, repeated_frame):
             with pytest.raises(EvidenceError, match="repeated keys"):
                 mass_from_json(text)
+
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(EvidenceError, match="nested too deeply"):
+            mass_from_json("[" * 100_000 + "]" * 100_000)
 
     def test_malformed_json_raises(self):
         with pytest.raises(json.JSONDecodeError):
