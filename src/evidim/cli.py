@@ -17,6 +17,7 @@ from pathlib import Path
 from .core import mass_from_json
 from .dimension import DimensionReport, information_dimension
 from .experiments import (
+    DECIMALS,
     detect_limit,
     render_plot_data,
     render_rows,
@@ -72,9 +73,9 @@ def _common_flags(cmd: argparse.ArgumentParser):
     cmd.add_argument(
         "--decimals",
         type=int,
-        choices=range(1, 16),
+        choices=DECIMALS,
         default=4,
-        metavar="{1..15}",
+        metavar=f"{{{DECIMALS[0]}..{DECIMALS[-1]}}}",
         help="rounded display digits",
     )
     cmd.add_argument(

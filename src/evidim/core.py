@@ -112,8 +112,6 @@ class Frame:
         mask = 0
         for label in labels:
             mask |= 1 << self.index(label)
-        if mask == 0:
-            raise EmptySubsetError("the empty set cannot be a focal element")
         return Subset(self, mask)
 
     def singleton(self, label: str) -> Subset:
@@ -173,9 +171,7 @@ class ProbabilityDistribution:
             raise EvidenceError("a distribution needs at least one outcome")
         if not all(p > 0.0 for p in self.probabilities):
             raise NegativeMassError("probabilities must be strictly positive")
-        total = math.fsum(self.probabilities)
-        if abs(total - 1.0) > MASS_TOLERANCE:
-            raise NonUnitTotalError(f"probabilities sum to {total!r}, expected 1")
+        _check_unit_total(math.fsum(self.probabilities), "probabilities")
 
     @property
     def size(self) -> int:
@@ -199,17 +195,14 @@ class MassFunction:
         cls,
         frame: Frame,
         assignments: Mapping[Subset, float] | Iterable[tuple[Subset, float]],
-        tolerance: float = MASS_TOLERANCE,
     ) -> MassFunction:
         """Validated construction.
 
         Zero masses are dropped (a subset with no mass is simply not
-        focal); negative, NaN and float-overflowing masses, duplicate
-        subsets, subsets from a different frame, and totals off one by
-        more than ``tolerance`` are rejected.
+        focal); negative, NaN and infinite or float-overflowing masses,
+        duplicate subsets, subsets from a different frame, and totals off
+        one by more than :data:`MASS_TOLERANCE` are rejected.
         """
-        if not tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
         if isinstance(assignments, Mapping):
             assignments = assignments.items()
         kept: dict[int, tuple[Subset, float]] = {}
@@ -225,9 +218,7 @@ class MassFunction:
             for _, (subset, mass) in sorted(kept.items())
             if mass > 0.0
         )
-        total = math.fsum(mass for _, mass in focal)
-        if abs(total - 1.0) > tolerance:
-            raise NonUnitTotalError(f"focal masses sum to {total!r}, expected 1")
+        _check_unit_total(math.fsum(mass for _, mass in focal), "focal masses")
         return cls(frame, focal)
 
     def __len__(self) -> int:
@@ -299,7 +290,11 @@ class ProfileRow:
             raise NegativeMassError("per-set mass must be strictly positive")
         if num == den:
             return cls(count, 1.0, 0.0)
-        return cls(count, num / den, math.log2(num) - math.log2(den))
+        try:
+            mass = num / den
+        except OverflowError:
+            raise _too_large("a profile row") from None
+        return cls(count, mass, math.log2(num) - math.log2(den))
 
 
 @dataclass(frozen=True)
@@ -328,6 +323,8 @@ class CardinalityProfile:
                 raise EvidenceError(
                     f"cardinality {card} outside 1..{self.frame_size}"
                 )
+            if type(row.count) is not int:
+                raise EvidenceError(f"set count {row.count!r} of cardinality {card} is not an int")
             if row.count <= 0:
                 raise EvidenceError("profile rows must have positive set counts")
             if row.count > math.comb(self.frame_size, card):
@@ -336,13 +333,11 @@ class CardinalityProfile:
                 )
             if not math.isfinite(row.log2_mass):
                 raise NegativeMassError("per-set mass must be strictly positive")
-        total = self.total_mass()
-        if abs(total - 1.0) > MASS_TOLERANCE:
-            raise NonUnitTotalError(f"profile mass totals {total!r}, expected 1")
+        _check_unit_total(self.total_mass(), "profile masses")
 
     @classmethod
     def from_rows(cls, frame_size: int, rows: Mapping[int, ProfileRow]) -> CardinalityProfile:
-        return cls(frame_size, tuple((k, row) for k, row in rows.items() if row.count > 0))
+        return cls(frame_size, tuple((k, row) for k, row in rows.items() if row.count != 0))
 
     @classmethod
     def from_counts(
@@ -362,25 +357,19 @@ class CardinalityProfile:
             [math.log2(row.count) + row.log2_mass for _, row in self.rows]
         )
 
-    @property
-    def is_single_singleton(self) -> bool:
-        """True iff the whole mass sits on one singleton (degenerate case)."""
-        return (
-            len(self.rows) == 1
-            and self.rows[0][0] == 1
-            and self.rows[0][1].count == 1
-        )
-
-    def to_mass(self, frame: Frame | None = None, limit: int = DEFAULT_EXPANSION_LIMIT) -> MassFunction:
+    def to_mass(self, frame: Frame | None = None) -> MassFunction:
         """Expand into an explicit mass function, enumerating every subset
         of each populated layer.
 
         Only full layers expand: each row must cover all C(N, k) subsets
-        of its cardinality.  ``frame`` defaults to synthesized labels.
+        of its cardinality, and the frame holds at most
+        :data:`DEFAULT_EXPANSION_LIMIT` elements.  ``frame`` defaults to
+        synthesized labels.
         """
-        if self.frame_size > limit:
+        if self.frame_size > DEFAULT_EXPANSION_LIMIT:
             raise FrameTooLargeError(
-                f"explicit expansion is capped at {limit} elements, got {self.frame_size}"
+                f"explicit expansion is capped at {DEFAULT_EXPANSION_LIMIT} elements, "
+                f"got {self.frame_size}"
             )
         if frame is None:
             frame = Frame.generic(self.frame_size)
@@ -405,15 +394,28 @@ class CardinalityProfile:
 
 
 def _as_mass(value, owner) -> float:
-    """``value`` as a float: too large for one is an EvidenceError, and
-    NaN or negative a NegativeMassError.  ``owner`` names it in messages."""
+    """``value`` as a float: infinite or too large for one is an
+    EvidenceError, and NaN or negative a NegativeMassError.  ``owner``
+    names it in messages."""
     try:
         mass = float(value)
     except OverflowError:
-        raise EvidenceError(f"mass of {owner} is too large for a float") from None
+        mass = math.inf
+    if mass == math.inf:
+        raise _too_large(owner)
     if not mass >= 0.0:
         raise NegativeMassError(f"mass {mass!r} of {owner} is negative or NaN")
     return mass
+
+
+def _too_large(owner) -> EvidenceError:
+    return EvidenceError(f"mass of {owner} is too large for a float")
+
+
+def _check_unit_total(total: float, what: str):
+    """Reject a mass total further than :data:`MASS_TOLERANCE` from 1."""
+    if abs(total - 1.0) > MASS_TOLERANCE:
+        raise NonUnitTotalError(f"{what} sum to {total!r}, expected 1")
 
 
 def _logsumexp2(values: list[float]) -> float:
@@ -424,8 +426,8 @@ def _logsumexp2(values: list[float]) -> float:
 
 # JSON wire format, shared by the CLI:
 # {"frame": ["a", "b"], "focal": [{"elements": ["a"], "mass": 0.5}, ...]}
-# Unknown keys, repeated keys and duplicate (order-insensitive) subsets are
-# rejected.
+# Unknown, missing and repeated keys and duplicate (order-insensitive)
+# subsets are rejected.
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -437,19 +439,28 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
-def mass_from_json(text: str, tolerance: float = MASS_TOLERANCE) -> MassFunction:
+def _exact_keys(value, keys: frozenset, what: str):
+    """Reject ``value`` unless it is a JSON object with exactly ``keys``."""
+    if not isinstance(value, dict):
+        raise EvidenceError(f"{what} must be an object")
+    if value.keys() != keys:
+        raise EvidenceError(
+            f"{what} needs exactly the keys {sorted(keys)}: "
+            f"unknown {sorted(value.keys() - keys)}, missing {sorted(keys - value.keys())}"
+        )
+
+
+_TOP_KEYS = frozenset(("frame", "focal"))
+_ENTRY_KEYS = frozenset(("elements", "mass"))
+
+
+def mass_from_json(text: str) -> MassFunction:
     """Parse the JSON mass-function format, strictly."""
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise EvidenceError("mass-function JSON is nested too deeply to parse") from None
-    if not isinstance(data, dict):
-        raise EvidenceError("top-level JSON value must be an object")
-    extra = set(data) - {"frame", "focal"}
-    if extra:
-        raise EvidenceError(f"unknown keys in mass-function JSON: {sorted(extra)}")
-    if "frame" not in data or "focal" not in data:
-        raise EvidenceError('mass-function JSON needs "frame" and "focal" keys')
+    _exact_keys(data, _TOP_KEYS, "the top-level JSON value")
     if not isinstance(data["frame"], list):
         raise EvidenceError('"frame" must be a list of labels')
     frame = Frame(tuple(data["frame"]))
@@ -457,20 +468,14 @@ def mass_from_json(text: str, tolerance: float = MASS_TOLERANCE) -> MassFunction
         raise EvidenceError('"focal" must be a list of assignments')
     assignments = []
     for entry in data["focal"]:
-        if not isinstance(entry, dict):
-            raise EvidenceError("focal entries must be objects")
-        extra = set(entry) - {"elements", "mass"}
-        if extra:
-            raise EvidenceError(f"unknown keys in focal entry: {sorted(extra)}")
-        if "elements" not in entry or "mass" not in entry:
-            raise EvidenceError('focal entries need "elements" and "mass" keys')
+        _exact_keys(entry, _ENTRY_KEYS, "a focal entry")
         if not isinstance(entry["elements"], list):
             raise EvidenceError('"elements" must be a list of labels')
         mass = entry["mass"]
         if isinstance(mass, bool) or not isinstance(mass, (int, float)):
             raise EvidenceError('"mass" must be a number')
         assignments.append((frame.subset(entry["elements"]), mass))
-    return MassFunction.from_assignments(frame, assignments, tolerance)
+    return MassFunction.from_assignments(frame, assignments)
 
 
 def mass_to_json(mass: MassFunction) -> str:

@@ -15,6 +15,9 @@ from .core import EvidenceError
 from .dimension import information_dimension_profile
 from .families import PROFILE_LIMIT, family_profile
 
+# rounded display digits accepted by render_table and the CLI
+DECIMALS = range(1, 16)
+
 
 class InsufficientRowsError(EvidenceError):
     pass
@@ -123,8 +126,8 @@ def render_table(
     ``converged limit=...`` line when a verdict is given; json always
     carries full-precision values and the verdict as a ``"verdict"`` key.
     """
-    if not 1 <= decimals <= 15:
-        raise ValueError("decimals must be between 1 and 15")
+    if decimals not in DECIMALS:
+        raise ValueError(f"decimals must be between {DECIMALS[0]} and {DECIMALS[-1]}")
     rows = [(row.n, row.entropy_bits, row.split_scale_bits, row.dimension) for row in table.rows]
     if fmt == "json":
         payload = {"family": table.family, "rows": [dict(zip(_HEADER, row)) for row in rows]}

@@ -29,9 +29,9 @@ def uniform_bayesian(n: int) -> CardinalityProfile:
     return CardinalityProfile.from_rows(n, {1: ProfileRow.from_ratio(n, 1, n)})
 
 
-def uniform_powerset(n: int, limit: int = PROFILE_LIMIT) -> CardinalityProfile:
+def uniform_powerset(n: int) -> CardinalityProfile:
     """Mass 1/(2^n - 1) on every nonempty subset."""
-    _check_size(n, limit)
+    _check_size(n, PROFILE_LIMIT)
     den = (1 << n) - 1
     return CardinalityProfile.from_rows(
         n,
@@ -39,13 +39,13 @@ def uniform_powerset(n: int, limit: int = PROFILE_LIMIT) -> CardinalityProfile:
     )
 
 
-def max_deng(n: int, limit: int = PROFILE_LIMIT) -> CardinalityProfile:
+def max_deng(n: int) -> CardinalityProfile:
     """Mass proportional to 2^|A| - 1; attains the maximum Deng entropy.
 
     The normalizer sum_k C(n,k) (2^k - 1) collapses to 3^n - 2^n, so the
     total mass is exactly 1 by construction.
     """
-    _check_size(n, limit)
+    _check_size(n, PROFILE_LIMIT)
     den = 3 ** n - 2 ** n
     return CardinalityProfile.from_rows(
         n,

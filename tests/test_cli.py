@@ -172,6 +172,14 @@ class TestComputeErrors:
         assert code == 2
         assert "EvidenceError" in err and "Traceback" not in err
 
+    def test_mass_parsed_as_infinity(self, tmp_path):
+        # json reads 1e400 as inf
+        code, err = self.run_with_payload(
+            tmp_path, '{"frame": ["a"], "focal": [{"elements": ["a"], "mass": 1e400}]}'
+        )
+        assert code == 2
+        assert "too large for a float" in err and "Traceback" not in err
+
     def test_repeated_keys(self, tmp_path):
         code, err = self.run_with_payload(
             tmp_path,

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import permute_mass, random_mass
 from evidim import (
+    DEFAULT_EXPANSION_LIMIT,
+    MASS_TOLERANCE,
     CardinalityProfile,
     DuplicateLabelError,
     DuplicateSubsetError,
@@ -29,6 +31,7 @@ from evidim import (
     Subset,
     deng_entropy,
     information_dimension,
+    information_dimension_profile,
     mass_from_json,
     mass_to_json,
     max_deng,
@@ -130,8 +133,9 @@ class TestMassConstruction:
             )
 
     def test_mass_too_large_for_a_float_rejected(self, two_frame):
-        with pytest.raises(EvidenceError):
-            MassFunction.from_assignments(two_frame, {two_frame.subset(["w1"]): 10**400})
+        for mass in (10**400, math.inf):
+            with pytest.raises(EvidenceError, match="too large for a float"):
+                MassFunction.from_assignments(two_frame, {two_frame.subset(["w1"]): mass})
 
     def test_duplicate_subsets_rejected(self, two_frame):
         a = two_frame.subset(["w1"])
@@ -146,12 +150,10 @@ class TestMassConstruction:
         assert len(mass) == 1
 
     def test_tolerance_is_adjustable(self, two_frame):
-        off = {two_frame.subset(["w1"]): 1.0 + 5e-10}
-        MassFunction.from_assignments(two_frame, off)
+        w1 = two_frame.subset(["w1"])
+        MassFunction.from_assignments(two_frame, {w1: 1.0 + MASS_TOLERANCE / 2})
         with pytest.raises(NonUnitTotalError):
-            MassFunction.from_assignments(two_frame, off, tolerance=1e-12)
-        with pytest.raises(ValueError):
-            MassFunction.from_assignments(two_frame, off, tolerance=0.0)
+            MassFunction.from_assignments(two_frame, {w1: 1.0 + 2 * MASS_TOLERANCE})
 
     def test_foreign_subset_rejected(self, two_frame):
         other = Frame(("x", "y"))
@@ -202,8 +204,9 @@ class TestProbabilityDistribution:
             ProbabilityDistribution((math.nan, 1.0))
         with pytest.raises(EvidenceError):
             ProbabilityDistribution(())
-        with pytest.raises(EvidenceError, match="too large for a float"):
-            ProbabilityDistribution((10**400,))
+        for probabilities in ((10**400,), (math.inf,)):
+            with pytest.raises(EvidenceError, match="too large for a float"):
+                ProbabilityDistribution(probabilities)
 
 
 class TestProfiles:
@@ -257,9 +260,9 @@ class TestProfiles:
         assert mass.focal[0][0].cardinality == 3
 
     def test_expansion_limit(self):
+        assert len(vacuous(DEFAULT_EXPANSION_LIMIT).to_mass()) == 1
         with pytest.raises(FrameTooLargeError):
-            vacuous(30).to_mass()
-        vacuous(21).to_mass(limit=21)
+            vacuous(DEFAULT_EXPANSION_LIMIT + 1).to_mass()
 
     def test_partial_layer_rejected(self):
         profile = CardinalityProfile.from_counts(3, {1: (2, 0.5)})
@@ -283,15 +286,31 @@ class TestProfiles:
             ProfileRow.from_mass(1, math.nan)
         with pytest.raises(EvidenceError, match="too large for a float"):
             CardinalityProfile.from_counts(2, {1: (2, 10**400)})
+        with pytest.raises(EvidenceError, match="too large for a float"):
+            CardinalityProfile.from_counts(1, {1: (1, math.inf)})
+        with pytest.raises(EvidenceError, match="too large for a float"):
+            ProfileRow.from_ratio(1, 10**400, 1)
+        # set counts: 1.5 and True were accepted; 2.5 failed only the C(2,1) bound;
+        # "2" escaped as a TypeError, and -1 was dropped while the rest summed to 1
+        for size, rows in (
+            (3, {1: (1.5, 2 / 3)}),
+            (3, {1: (True, 1.0)}),
+            (2, {1: (2.5, 0.4)}),
+            (2, {1: ("2", 0.5)}),
+        ):
+            with pytest.raises(EvidenceError, match="not an int"):
+                CardinalityProfile.from_counts(size, rows)
+        with pytest.raises(EvidenceError, match="positive set counts"):
+            CardinalityProfile.from_counts(2, {1: (-1, 0.5), 2: (1, 1.0)})
 
     def test_zero_count_rows_dropped(self):
         profile = CardinalityProfile.from_counts(2, {1: (0, 0.0), 2: (1, 1.0)})
         assert len(profile.rows) == 1
 
     def test_single_singleton_detection(self):
-        assert vacuous(1).is_single_singleton
-        assert not vacuous(2).is_single_singleton
-        assert not uniform_bayesian(2).is_single_singleton
+        assert information_dimension_profile(vacuous(1)).degenerate
+        assert not information_dimension_profile(vacuous(2)).degenerate
+        assert not information_dimension_profile(uniform_bayesian(2)).degenerate
 
 
 @st.composite
@@ -452,6 +471,27 @@ class TestJsonFormat:
         text = json.dumps({"frame": ["a"], "focal": [{"elements": ["a"], "mass": True}]})
         with pytest.raises(EvidenceError):
             mass_from_json(text)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"frame": "a", "focal": [{"elements": ["a"], "mass": 1.0}]},
+            {"frame": ["a"], "focal": {"elements": ["a"], "mass": 1.0}},
+            {"frame": ["a"], "focal": [["a", 1.0]]},
+            {"frame": ["a"], "focal": [{"elements": "a", "mass": 1.0}]},
+            {"frame": ["a"], "focal": [{"elements": ["a"]}]},
+        ],
+        ids=[
+            "frame-not-a-list",
+            "focal-not-a-list",
+            "entry-not-an-object",
+            "elements-not-a-list",
+            "entry-without-mass",
+        ],
+    )
+    def test_malformed_shape_rejected(self, payload):
+        with pytest.raises(EvidenceError):
+            mass_from_json(json.dumps(payload))
 
     def test_missing_keys_rejected(self):
         with pytest.raises(EvidenceError):

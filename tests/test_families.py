@@ -8,6 +8,7 @@ import pytest
 
 from evidim import (
     FAMILIES,
+    PROFILE_LIMIT,
     EvidenceError,
     Frame,
     FrameTooLargeError,
@@ -105,11 +106,10 @@ class TestExactness:
 
 class TestBounds:
     def test_profile_limit(self):
-        with pytest.raises(FrameTooLargeError):
-            uniform_powerset(1025)
-        with pytest.raises(FrameTooLargeError):
-            max_deng(2000)
-        max_deng(40, limit=40)
+        assert max_deng(PROFILE_LIMIT).frame_size == PROFILE_LIMIT
+        for generator in (uniform_powerset, max_deng):
+            with pytest.raises(FrameTooLargeError):
+                generator(PROFILE_LIMIT + 1)
 
     def test_positive_size_required(self):
         for generator in (vacuous, uniform_bayesian, uniform_powerset, max_deng):
