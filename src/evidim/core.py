@@ -5,7 +5,10 @@ over nonempty subsets of a finite frame.  Subsets are stored as bit masks
 over frame indices, which caps explicit frames at 64 elements; the
 :class:`CardinalityProfile` compressed form has no such cap and carries a
 log-domain copy of each per-set mass so that very large frames survive
-double-precision underflow.
+double-precision underflow.  Its set counts are exact ints, each checked
+against C(N, k) from one walk of the exact binomial recurrence
+:func:`_binomials` up the ascending rows; the families take their counts
+from the same helper.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -17,7 +20,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from numbers import Real
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping
 
 MAX_EXPLICIT_FRAME = 64
 DEFAULT_EXPANSION_LIMIT = 20
@@ -310,24 +315,34 @@ class CardinalityProfile:
     rows: tuple[tuple[int, ProfileRow], ...]
 
     def __post_init__(self):
+        if type(self.frame_size) is not int:
+            raise EvidenceError(f"frame size {self.frame_size!r} is not an int")
         if self.frame_size < 1:
             raise EvidenceError("frame size must be at least 1")
-        rows = tuple(sorted(self.rows))
+        for card, _ in self.rows:
+            if type(card) is not int:
+                raise EvidenceError(f"cardinality {card!r} is not an int")
+        rows = tuple(sorted(self.rows, key=itemgetter(0)))
         object.__setattr__(self, "rows", rows)
-        seen = set()
+        # (k, C(N, k)) for ascending k; advanced to each row's cardinality
+        layers = enumerate(_binomials(self.frame_size))
+        previous = None
         for card, row in rows:
-            if card in seen:
+            if card == previous:
                 raise EvidenceError(f"duplicate cardinality row {card}")
-            seen.add(card)
+            previous = card
             if not 1 <= card <= self.frame_size:
                 raise EvidenceError(
                     f"cardinality {card} outside 1..{self.frame_size}"
                 )
+            for k, full in layers:
+                if k == card:
+                    break
             if type(row.count) is not int:
                 raise EvidenceError(f"set count {row.count!r} of cardinality {card} is not an int")
             if row.count <= 0:
                 raise EvidenceError("profile rows must have positive set counts")
-            if row.count > math.comb(self.frame_size, card):
+            if row.count > full:
                 raise EvidenceError(
                     f"{row.count} sets of cardinality {card} exceed C({self.frame_size},{card})"
                 )
@@ -377,9 +392,10 @@ class CardinalityProfile:
             raise EvidenceError(
                 f"frame has {frame.size} elements, profile expects {self.frame_size}"
             )
+        binomials = list(_binomials(self.frame_size))
         assignments = []
         for card, row in self.rows:
-            full = math.comb(self.frame_size, card)
+            full = binomials[card]
             if row.count != full:
                 raise PartialLayerError(
                     f"cardinality {card} holds {row.count} of {full} subsets; "
@@ -393,10 +409,24 @@ class CardinalityProfile:
         return MassFunction.from_assignments(frame, assignments)
 
 
+def _binomials(n: int) -> Iterator[int]:
+    """C(n, 0), C(n, 1), ..., C(n, n) as exact ints, by the recurrence
+    C(n, k) = C(n, k - 1) (n - k + 1) / k; the division is exact."""
+    count = 1
+    yield count
+    for k in range(1, n + 1):
+        count = count * (n - k + 1) // k
+        yield count
+
+
 def _as_mass(value, owner) -> float:
-    """``value`` as a float: infinite or too large for one is an
+    """``value`` as a float: a value that is not a real number (a string
+    or a bool, say), or one infinite or too large for a float, is an
     EvidenceError, and NaN or negative a NegativeMassError.  ``owner``
     names it in messages."""
+    # float and int listed first: they match before the slower ABC check
+    if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
+        raise EvidenceError(f"mass {value!r} of {owner} is not a real number")
     try:
         mass = float(value)
     except OverflowError:
@@ -471,10 +501,7 @@ def mass_from_json(text: str) -> MassFunction:
         _exact_keys(entry, _ENTRY_KEYS, "a focal entry")
         if not isinstance(entry["elements"], list):
             raise EvidenceError('"elements" must be a list of labels')
-        mass = entry["mass"]
-        if isinstance(mass, bool) or not isinstance(mass, (int, float)):
-            raise EvidenceError('"mass" must be a number')
-        assignments.append((frame.subset(entry["elements"]), mass))
+        assignments.append((frame.subset(entry["elements"]), entry["mass"]))
     return MassFunction.from_assignments(frame, assignments)
 
 

@@ -1,14 +1,15 @@
 """Parametric mass-function families, generated as cardinality profiles.
 
 All four families are cardinality-symmetric, so a profile represents them
-exactly, and rational construction keeps their total mass exactly 1.
+exactly, and rational construction keeps their total mass exactly 1.  Layer
+counts C(n, k) are exact ints from the binomial recurrence in
+:func:`evidim.core._binomials`, one multiply and one exact division per row.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable
 
-from .core import CardinalityProfile, EvidenceError, FrameTooLargeError, ProfileRow
+from .core import CardinalityProfile, EvidenceError, FrameTooLargeError, ProfileRow, _binomials
 
 PROFILE_LIMIT = 1024
 
@@ -35,7 +36,7 @@ def uniform_powerset(n: int) -> CardinalityProfile:
     den = (1 << n) - 1
     return CardinalityProfile.from_rows(
         n,
-        {k: ProfileRow.from_ratio(math.comb(n, k), 1, den) for k in range(1, n + 1)},
+        {k: ProfileRow.from_ratio(count, 1, den) for k, count in enumerate(_binomials(n)) if k},
     )
 
 
@@ -50,8 +51,9 @@ def max_deng(n: int) -> CardinalityProfile:
     return CardinalityProfile.from_rows(
         n,
         {
-            k: ProfileRow.from_ratio(math.comb(n, k), (1 << k) - 1, den)
-            for k in range(1, n + 1)
+            k: ProfileRow.from_ratio(count, (1 << k) - 1, den)
+            for k, count in enumerate(_binomials(n))
+            if k
         },
     )
 
@@ -75,6 +77,8 @@ def family_profile(name: str, n: int) -> CardinalityProfile:
 
 
 def _check_size(n: int, limit: int | None = None):
+    if type(n) is not int:
+        raise EvidenceError(f"frame size {n!r} is not an int")
     if n < 1:
         raise EvidenceError("frame size must be at least 1")
     if limit is not None and n > limit:

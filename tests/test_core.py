@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,14 @@ class TestMassConstruction:
             with pytest.raises(EvidenceError, match="too large for a float"):
                 MassFunction.from_assignments(two_frame, {two_frame.subset(["w1"]): mass})
 
+    def test_non_real_mass_rejected(self, two_frame):
+        # "1" and True were coerced to 1.0; 1j escaped as a TypeError
+        for mass in ("1", True, 1j):
+            with pytest.raises(EvidenceError, match="not a real number"):
+                MassFunction.from_assignments(two_frame, {two_frame.subset(["w1"]): mass})
+        exact = MassFunction.from_assignments(two_frame, {two_frame.subset(["w1"]): Fraction(1)})
+        assert exact.focal[0][1] == 1.0
+
     def test_duplicate_subsets_rejected(self, two_frame):
         a = two_frame.subset(["w1"])
         with pytest.raises(DuplicateSubsetError):
@@ -206,6 +215,9 @@ class TestProbabilityDistribution:
             ProbabilityDistribution(())
         for probabilities in ((10**400,), (math.inf,)):
             with pytest.raises(EvidenceError, match="too large for a float"):
+                ProbabilityDistribution(probabilities)
+        for probabilities in (("0.5", "0.5"), (True,)):
+            with pytest.raises(EvidenceError, match="not a real number"):
                 ProbabilityDistribution(probabilities)
 
 
@@ -302,6 +314,35 @@ class TestProfiles:
                 CardinalityProfile.from_counts(size, rows)
         with pytest.raises(EvidenceError, match="positive set counts"):
             CardinalityProfile.from_counts(2, {1: (-1, 0.5), 2: (1, 1.0)})
+        with pytest.raises(EvidenceError, match="not a real number"):
+            CardinalityProfile.from_counts(1, {1: (1, "1")})
+        # a float or str cardinality and a float frame size escaped as TypeErrors,
+        # and a bool frame size built a profile
+        for size, rows in (
+            (2, {1.5: (1, 1.0)}),
+            (2, {"1": (2, 0.5)}),
+            (2.5, {1: (2, 0.5)}),
+            (True, {1: (1, 1.0)}),
+        ):
+            with pytest.raises(EvidenceError, match="not an int"):
+                CardinalityProfile.from_counts(size, rows)
+
+    def test_duplicate_cardinality_rows_rejected(self):
+        # rows of unequal mass made sorting compare ProfileRows: a TypeError
+        quarter, three_quarters = ProfileRow.from_mass(1, 0.25), ProfileRow.from_mass(1, 0.75)
+        for rows in (((1, quarter), (1, three_quarters)), ((1, quarter), (1, quarter))):
+            with pytest.raises(EvidenceError, match="duplicate cardinality row 1"):
+                CardinalityProfile(2, rows)
+
+    def test_count_bound_is_exact_for_large_frames(self):
+        full = math.comb(1000, 500)
+        accepted = CardinalityProfile.from_rows(1000, {500: ProfileRow.from_ratio(full, 1, full)})
+        assert accepted.rows[0][1].count == full
+        # total mass is exactly 1 here too, so only the C(1000,500) bound can reject
+        with pytest.raises(EvidenceError, match=r"exceed C\(1000,500\)"):
+            CardinalityProfile.from_rows(
+                1000, {500: ProfileRow.from_ratio(full + 1, 1, full + 1)}
+            )
 
     def test_zero_count_rows_dropped(self):
         profile = CardinalityProfile.from_counts(2, {1: (0, 0.0), 2: (1, 1.0)})
@@ -468,9 +509,10 @@ class TestJsonFormat:
             mass_from_json("{not json")
 
     def test_non_numeric_mass_rejected(self):
-        text = json.dumps({"frame": ["a"], "focal": [{"elements": ["a"], "mass": True}]})
-        with pytest.raises(EvidenceError):
-            mass_from_json(text)
+        for mass in (True, "1", None):
+            text = json.dumps({"frame": ["a"], "focal": [{"elements": ["a"], "mass": mass}]})
+            with pytest.raises(EvidenceError, match="not a real number"):
+                mass_from_json(text)
 
     @pytest.mark.parametrize(
         "payload",

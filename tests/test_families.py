@@ -25,6 +25,26 @@ from evidim import (
 
 FOUR_DP = 5e-5
 
+# (entropy_bits, split_scale_bits, dimension), recorded from the
+# math.comb implementation of the family row counts; compared by repr, so
+# a change in the last bit fails.
+PINNED = {
+    ("max-deng", 2): (2.321928094887362, 1.9756969620861178, 1.1752450600701752),
+    ("max-deng", 30): (47.54886749782316, 30.000000017282858, 1.5849622490143493),
+    ("max-deng", 64): (101.43760004614629, 64.0, 1.5849625007210357),
+    ("max-deng", 65): (103.02256254686945, 65.0, 1.5849625007210686),
+    ("max-deng", 200): (316.99250014422677, 200.0, 1.5849625007211339),
+    ("max-deng", 512): (811.5008003692601, 512.0, 1.5849625007212111),
+    ("max-deng", 1024): (1623.0016007385964, 1024.0, 1.5849625007212855),
+    ("uniform-powerset", 2): (2.113283334294875, 1.783351699583871, 1.1850064879451376),
+    ("uniform-powerset", 30): (44.999741815212644, 30.000000012625982, 1.499991393209126),
+    ("uniform-powerset", 64): (95.99999998544216, 64.0, 1.4999999997725337),
+    ("uniform-powerset", 65): (97.4999999890816, 65.0, 1.4999999998320246),
+    ("uniform-powerset", 200): (299.9999999999998, 200.0, 1.499999999999999),
+    ("uniform-powerset", 512): (768.0000000000013, 512.0, 1.5000000000000024),
+    ("uniform-powerset", 1024): (1536.0000000000007, 1024.0, 1.5000000000000007),
+}
+
 
 class TestGenerators:
     def test_vacuous_rows(self):
@@ -116,6 +136,13 @@ class TestBounds:
             with pytest.raises(EvidenceError):
                 generator(0)
 
+    def test_integer_size_required(self):
+        # True built a one-element vacuous profile; 2.5 escaped as a TypeError
+        for generator in (vacuous, uniform_bayesian, uniform_powerset, max_deng):
+            for n in (True, 2.5):
+                with pytest.raises(EvidenceError, match="not an int"):
+                    generator(n)
+
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):
             family_profile("bogus", 3)
@@ -132,6 +159,20 @@ class TestBounds:
         frame = Frame(("x", "y", "z"))
         mass = uniform_powerset(3).to_mass(frame)
         assert len(mass) == 7
+
+
+class TestBinomialCounts:
+    @pytest.mark.parametrize("generator", [uniform_powerset, max_deng])
+    def test_row_counts_are_binomials(self, generator):
+        for n in [*range(1, 65), 511, 512, 1023, 1024]:
+            counts = [(k, row.count) for k, row in generator(n).rows]
+            assert counts == [(k, math.comb(n, k)) for k in range(1, n + 1)], n
+
+    @pytest.mark.parametrize("family, n", sorted(PINNED))
+    def test_pinned_values(self, family, n):
+        report = information_dimension_profile(family_profile(family, n))
+        values = (report.entropy_bits, report.split_scale_bits, report.dimension)
+        assert repr(values) == repr(PINNED[family, n])
 
 
 def _rational_mass(name: str, n: int, k: int) -> tuple[int, int]:
