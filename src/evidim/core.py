@@ -1,12 +1,19 @@
 """Frames of discernment, subsets, mass functions, and cardinality profiles.
 
 A mass function (basic probability assignment) distributes a unit of mass
-over nonempty subsets of a finite frame.  Subsets are stored as bit masks
-over frame indices, which caps explicit frames at 64 elements; the
-:class:`CardinalityProfile` compressed form has no such cap and carries a
-log-domain copy of each per-set mass so that very large frames survive
-double-precision underflow.  Its set counts are exact ints, each checked
-against C(N, k) from one walk of the exact binomial recurrence
+over nonempty subsets of a finite frame.  Subsets are bit masks over frame
+indices, which caps explicit frames at 64 elements; a :class:`Frame` maps
+each label to its bit through a dict built once.  A :class:`MassFunction`
+is stored flat, as parallel ``masks`` and ``masses`` tuples sorted by mask;
+:class:`Subset` objects are built only at API edges (``focal``,
+:meth:`Frame.subset`, error messages), never on the parse, expansion or
+kernel paths.  One private mask-level constructor,
+:meth:`MassFunction._from_masks`, owns every rule a mass function obeys.
+
+The :class:`CardinalityProfile` compressed form has no frame cap and
+carries a log-domain copy of each per-set mass so that very large frames
+survive double-precision underflow.  Its set counts are exact ints, each
+checked against C(N, k) from one walk of the exact binomial recurrence
 :func:`_binomials` up the ascending rows; the families take their counts
 from the same helper.
 
@@ -17,9 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from numbers import Real
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
@@ -88,6 +96,7 @@ class Frame:
     """
 
     labels: tuple[str, ...]
+    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -101,26 +110,32 @@ class Frame:
             raise FrameTooLargeError(
                 f"explicit frames are capped at {MAX_EXPLICIT_FRAME} elements, got {len(self.labels)}"
             )
+        object.__setattr__(self, "_bits", {lab: 1 << i for i, lab in enumerate(self.labels)})
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownLabelError(f"label {label!r} is not in the frame") from None
+        return self._mask((label,)).bit_length() - 1
 
     def subset(self, labels: Iterable[str]) -> Subset:
         """Subset from labels; duplicates collapse, empty input is rejected."""
-        mask = 0
-        for label in labels:
-            mask |= 1 << self.index(label)
-        return Subset(self, mask)
+        return Subset(self, self._mask(labels))
 
     def singleton(self, label: str) -> Subset:
-        return Subset(self, 1 << self.index(label))
+        return Subset(self, self._mask((label,)))
+
+    def _mask(self, labels: Iterable[str]) -> int:
+        """Union of the labels' bits; 0 for no labels."""
+        bits = self._bits
+        mask = 0
+        for label in labels:
+            try:
+                mask |= bits[label]
+            except (KeyError, TypeError):  # TypeError: an unhashable label
+                raise UnknownLabelError(f"label {label!r} is not in the frame") from None
+        return mask
 
     def full_set(self) -> Subset:
         return Subset(self, (1 << self.size) - 1)
@@ -187,13 +202,16 @@ class ProbabilityDistribution:
 class MassFunction:
     """Map from focal subsets to strictly positive masses summing to one.
 
-    ``focal`` is kept sorted by subset mask, so equal mass functions
-    compare equal structurally and iteration order is deterministic.
-    Construct through :meth:`from_assignments`, which validates.
+    Stored flat: ``masks[i]`` is a focal set's membership mask over
+    ``frame`` and ``masses[i]`` its mass, ascending by mask, so equal mass
+    functions compare equal structurally and iteration order is
+    deterministic.  Construct through :meth:`from_assignments`, which
+    validates.
     """
 
     frame: Frame
-    focal: tuple[tuple[Subset, float], ...]
+    masks: tuple[int, ...]
+    masses: tuple[float, ...]
 
     @classmethod
     def from_assignments(
@@ -210,28 +228,47 @@ class MassFunction:
         """
         if isinstance(assignments, Mapping):
             assignments = assignments.items()
-        kept: dict[int, tuple[Subset, float]] = {}
-        for subset, mass in assignments:
-            if subset.frame != frame:
-                raise EvidenceError("subset belongs to a different frame")
-            mass = _as_mass(mass, subset)
-            if subset.mask in kept:
-                raise DuplicateSubsetError(f"duplicate assignment for {subset!r}")
-            kept[subset.mask] = (subset, mass)
-        focal = tuple(
-            (subset, mass)
-            for _, (subset, mass) in sorted(kept.items())
-            if mass > 0.0
-        )
-        _check_unit_total(math.fsum(mass for _, mass in focal), "focal masses")
-        return cls(frame, focal)
+
+        def pairs():
+            for subset, mass in assignments:
+                if subset.frame != frame:
+                    raise EvidenceError("subset belongs to a different frame")
+                yield subset.mask, mass
+
+        return cls._from_masks(frame, pairs())
+
+    @classmethod
+    def _from_masks(cls, frame: Frame, pairs: Iterable[tuple[int, object]]) -> MassFunction:
+        """The one validated construction, from ``(mask, mass)`` pairs whose
+        masks lie within ``frame``: empty sets, masses :func:`_as_mass`
+        rejects, and duplicate masks are errors, zero masses are dropped,
+        the rest sorted by mask, and the total checked."""
+        kept: dict[int, float] = {}
+        for mask, mass in pairs:
+            if not mask:
+                raise EmptySubsetError("the empty set cannot be a focal element")
+            if type(mass) is not float or not 0.0 <= mass < math.inf:
+                # coerce or reject anything but a plain finite float
+                mass = _as_mass(mass, Subset(frame, mask))
+            if mask in kept:
+                raise DuplicateSubsetError(f"duplicate assignment for {Subset(frame, mask)!r}")
+            kept[mask] = mass
+        masks = tuple(sorted(mask for mask, mass in kept.items() if mass > 0.0))
+        masses = tuple(kept[mask] for mask in masks)
+        _check_unit_total(math.fsum(masses), "focal masses")
+        return cls(frame, masks, masses)
+
+    @property
+    def focal(self) -> tuple[tuple[Subset, float], ...]:
+        """``(subset, mass)`` pairs, ascending by mask."""
+        return tuple((Subset(self.frame, mask), m) for mask, m in zip(self.masks, self.masses))
 
     def __len__(self) -> int:
-        return len(self.focal)
+        return len(self.masks)
 
     def is_bayesian(self) -> bool:
         """True iff every focal element is a singleton."""
-        return all(subset.cardinality == 1 for subset, _ in self.focal)
+        return all(mask.bit_count() == 1 for mask in self.masks)
 
     def to_probability(self) -> ProbabilityDistribution:
         """Bayesian mass as a distribution over its focal singletons.
@@ -241,7 +278,7 @@ class MassFunction:
         """
         if not self.is_bayesian():
             raise NotBayesianError("mass function has non-singleton focal elements")
-        return ProbabilityDistribution(tuple(mass for _, mass in self.focal))
+        return ProbabilityDistribution(self.masses)
 
     def to_profile(self) -> CardinalityProfile:
         """Compress to per-cardinality (count, shared mass) rows.
@@ -252,8 +289,8 @@ class MassFunction:
         which makes the profile -> explicit round trip bit-exact.
         """
         layers: dict[int, list[float]] = {}
-        for subset, mass in self.focal:
-            layers.setdefault(subset.cardinality, []).append(mass)
+        for mask, mass in zip(self.masks, self.masses):
+            layers.setdefault(mask.bit_count(), []).append(mass)
         rows = {}
         for card in sorted(layers):
             masses = layers[card]
@@ -327,6 +364,8 @@ class CardinalityProfile:
         # (k, C(N, k)) for ascending k; advanced to each row's cardinality
         layers = enumerate(_binomials(self.frame_size))
         previous = None
+        # read once for the per-row mass/log2_mass check
+        isclose, tolerance, smallest = math.isclose, SYMMETRY_TOLERANCE, sys.float_info.min
         for card, row in rows:
             if card == previous:
                 raise EvidenceError(f"duplicate cardinality row {card}")
@@ -348,6 +387,19 @@ class CardinalityProfile:
                 )
             if not math.isfinite(row.log2_mass):
                 raise NegativeMassError("per-set mass must be strictly positive")
+            # the kernel reads both mass and log2_mass, so they must agree:
+            # within a relative tolerance, or both below the smallest normal
+            try:
+                agrees = isclose(
+                    row.mass, 2.0 ** row.log2_mass, rel_tol=tolerance, abs_tol=smallest
+                )
+            except OverflowError:
+                agrees = False
+            if not agrees:
+                raise EvidenceError(
+                    f"row of cardinality {card}: mass {row.mass!r} disagrees "
+                    f"with log2 mass {row.log2_mass!r}"
+                )
         _check_unit_total(self.total_mass(), "profile masses")
 
     @classmethod
@@ -393,7 +445,8 @@ class CardinalityProfile:
                 f"frame has {frame.size} elements, profile expects {self.frame_size}"
             )
         binomials = list(_binomials(self.frame_size))
-        assignments = []
+        # per-set mass by cardinality, None for an empty layer
+        layers: list[float | None] = [None] * (self.frame_size + 1)
         for card, row in self.rows:
             full = binomials[card]
             if row.count != full:
@@ -401,12 +454,13 @@ class CardinalityProfile:
                     f"cardinality {card} holds {row.count} of {full} subsets; "
                     "only full layers expand"
                 )
-            for indices in combinations(range(self.frame_size), card):
-                mask = 0
-                for i in indices:
-                    mask |= 1 << i
-                assignments.append((Subset(frame, mask), row.mass))
-        return MassFunction.from_assignments(frame, assignments)
+            layers[card] = row.mass
+        pairs = [
+            (mask, mass)
+            for mask in range(1, 1 << self.frame_size)
+            if (mass := layers[mask.bit_count()]) is not None
+        ]
+        return MassFunction._from_masks(frame, pairs)
 
 
 def _binomials(n: int) -> Iterator[int]:
@@ -496,22 +550,36 @@ def mass_from_json(text: str) -> MassFunction:
     frame = Frame(tuple(data["frame"]))
     if not isinstance(data["focal"], list):
         raise EvidenceError('"focal" must be a list of assignments')
-    assignments = []
+    pairs = []
     for entry in data["focal"]:
         _exact_keys(entry, _ENTRY_KEYS, "a focal entry")
         if not isinstance(entry["elements"], list):
             raise EvidenceError('"elements" must be a list of labels')
-        assignments.append((frame.subset(entry["elements"]), entry["mass"]))
-    return MassFunction.from_assignments(frame, assignments)
+        pairs.append((frame._mask(entry["elements"]), entry["mass"]))
+    return MassFunction._from_masks(frame, pairs)
 
 
 def mass_to_json(mass: MassFunction) -> str:
-    """Serialize to the JSON mass-function format (focal sets in mask order)."""
-    payload = {
-        "frame": list(mass.frame.labels),
-        "focal": [
-            {"elements": list(subset.members), "mass": value}
-            for subset, value in mass.focal
-        ],
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=2)
+    """Serialize to the JSON mass-function format (focal sets in mask order).
+
+    The text is byte for byte ``json.dumps(payload, ensure_ascii=False,
+    indent=2)``, written here around the C string encoder and ``repr`` of
+    each mass, because ``indent`` sends ``json.dumps`` to its pure-Python
+    encoder.
+    """
+    labels = [encode_basestring(label) for label in mass.frame.labels]
+    entries = [
+        '{\n      "elements": [\n        '
+        + ",\n        ".join([label for i, label in enumerate(labels) if mask >> i & 1])
+        + '\n      ],\n      "mass": '
+        + repr(value)
+        + "\n    }"
+        for mask, value in zip(mass.masks, mass.masses)
+    ]
+    return (
+        '{\n  "frame": [\n    '
+        + ",\n    ".join(labels)
+        + '\n  ],\n  "focal": [\n    '
+        + ",\n    ".join(entries)
+        + "\n  ]\n}"
+    )

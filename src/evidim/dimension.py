@@ -48,7 +48,7 @@ def _from_bits(bits: float, base: float) -> float:
 
 
 def _mass_rows(mass: MassFunction) -> list[Row]:
-    return [(subset.cardinality, 0.0, math.log2(m), m) for subset, m in mass.focal]
+    return [(mask.bit_count(), 0.0, math.log2(m), m) for mask, m in zip(mass.masks, mass.masses)]
 
 
 def _profile_rows(profile: CardinalityProfile) -> list[Row]:

@@ -20,17 +20,21 @@ def brute_force_report(mass: MassFunction) -> DimensionReport:
         raise FrameTooLargeError(
             f"brute force is capped at {ORACLE_FRAME_LIMIT} elements, got {mass.frame.size}"
         )
-    if len(mass.focal) == 1 and mass.focal[0][0].cardinality == 1:
+    if len(mass.masks) == 1 and _popcount(mass.masks[0]) == 1:
         return DimensionReport(0.0, 0.0, 0.0, True)
     entropy_terms = []
     split_terms = []
-    for subset, m in mass.focal:
-        splits = 2 ** subset.cardinality - 1
+    for mask, m in zip(mass.masks, mass.masses):
+        splits = 2 ** _popcount(mask) - 1
         entropy_terms.append(-m * math.log2(m / splits))
         split_terms.append(splits ** m)
     entropy = math.fsum(entropy_terms)
     split = math.log2(math.fsum(split_terms))
     return DimensionReport(entropy, split, entropy / split, False)
+
+
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
 
 
 def compare_reports(a: DimensionReport, b: DimensionReport, tol: float) -> bool:

@@ -194,6 +194,14 @@ class TestComputeErrors:
         assert code == 2
         assert "EvidenceError" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("label", [["a"], {"x": 1}, 1, None], ids=repr)
+    def test_non_string_label(self, tmp_path, label):
+        code, err = self.run_with_payload(
+            tmp_path, {"frame": ["a"], "focal": [{"elements": [label], "mass": 1.0}]}
+        )
+        assert code == 2
+        assert "UnknownLabelError" in err and "Traceback" not in err
+
     def test_missing_file(self, tmp_path):
         assert main(["compute", str(tmp_path / "absent.json")]) == 2
 

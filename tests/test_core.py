@@ -1,8 +1,10 @@
 """Frames, subsets, mass-function validation, profiles, and the JSON format."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,7 @@ from evidim import (
     ProbabilityDistribution,
     ProfileRow,
     Subset,
+    UnknownLabelError,
     deng_entropy,
     information_dimension,
     information_dimension_profile,
@@ -344,6 +347,19 @@ class TestProfiles:
                 1000, {500: ProfileRow.from_ratio(full + 1, 1, full + 1)}
             )
 
+    def test_row_mass_must_match_its_log2(self):
+        # the kernel took the split scale from mass and the entropy from
+        # log2_mass, and reported dimension 2.0 > log2 3 for this row
+        with pytest.raises(EvidenceError, match="log2 mass"):
+            information_dimension_profile(CardinalityProfile(2, ((2, ProfileRow(1, 0.5, 0.0)),)))
+        with pytest.raises(EvidenceError, match="log2 mass"):
+            CardinalityProfile(1, ((1, ProfileRow(1, 1.0, 2000.0)),))
+        # rows whose masses underflow a double agree through the absolute floor
+        tiny = ProfileRow.from_ratio(1, 1, 1 << 1100)
+        assert tiny.mass == 0.0
+        CardinalityProfile(1100, ((1, ProfileRow.from_ratio(1, (1 << 1100) - 1, 1 << 1100)),
+                                  (2, tiny)))
+
     def test_zero_count_rows_dropped(self):
         profile = CardinalityProfile.from_counts(2, {1: (0, 0.0), 2: (1, 1.0)})
         assert len(profile.rows) == 1
@@ -387,6 +403,45 @@ class TestRoundTrip:
         for profile in (vacuous(6), uniform_bayesian(6), uniform_powerset(6), max_deng(6)):
             mass = profile.to_mass(frame)
             assert mass.to_profile().to_mass(frame) == mass
+
+
+class TestFlatStorage:
+    """``focal`` is a view derived from the flat ``masks``/``masses``."""
+
+    def test_shuffled_input_is_stored_in_mask_order(self):
+        rng = random.Random(11)
+        frame = Frame.generic(5)
+        masks = rng.sample(range(1, 1 << 5), 12)
+        weights = [rng.uniform(0.05, 1.0) for _ in masks]
+        total = math.fsum(weights)
+        mass = MassFunction.from_assignments(
+            frame, [(Subset(frame, m), w / total) for m, w in zip(masks, weights)]
+        )
+        assert mass.masks == tuple(sorted(masks))
+        assert [subset.mask for subset, _ in mass.focal] == sorted(masks)
+        assert all(subset.frame is frame for subset, _ in mass.focal)
+        assert tuple(m for _, m in mass.focal) == mass.masses
+        assert mass_from_json(mass_to_json(mass)) == mass
+
+    def test_to_probability_follows_frame_order(self):
+        frame = Frame(("c", "a", "b"))
+        mass = MassFunction.from_assignments(
+            frame, [(frame.singleton("b"), 0.5), (frame.singleton("c"), 0.2),
+                    (frame.singleton("a"), 0.3)]
+        )
+        assert mass.to_probability().probabilities == (0.2, 0.3, 0.5)
+
+    def test_expansion_matches_combinations(self):
+        for n in range(1, 9):
+            frame = Frame.generic(n)
+            for profile in (vacuous(n), uniform_bayesian(n), uniform_powerset(n), max_deng(n)):
+                expected = []
+                for card, row in profile.rows:
+                    for members in itertools.combinations(range(n), card):
+                        mask = sum(1 << i for i in members)
+                        expected.append((Subset(frame, mask), row.mass))
+                expected.sort(key=lambda pair: pair[0].mask)
+                assert profile.to_mass(frame).focal == tuple(expected)
 
 
 class TestPermutationInvariance:
@@ -535,8 +590,51 @@ class TestJsonFormat:
         with pytest.raises(EvidenceError):
             mass_from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("label", [["a"], {"x": 1}, 1, None], ids=repr)
+    def test_non_string_labels_are_unknown(self, label):
+        # an unhashable label must not escape a dict lookup as a TypeError
+        text = json.dumps({"frame": ["a"], "focal": [{"elements": [label], "mass": 1.0}]})
+        with pytest.raises(UnknownLabelError):
+            mass_from_json(text)
+        with pytest.raises(UnknownLabelError):
+            Frame(("a",)).subset([label])
+
     def test_missing_keys_rejected(self):
         with pytest.raises(EvidenceError):
             mass_from_json('{"frame": ["a"]}')
         with pytest.raises(EvidenceError):
             mass_from_json('[1, 2]')
+
+
+def _stdlib_json(mass: MassFunction) -> str:
+    """mass_to_json's format, written by the stdlib encoder."""
+    payload = {
+        "frame": list(mass.frame.labels),
+        "focal": [{"elements": list(s.members), "mass": v} for s, v in mass.focal],
+    }
+    return json.dumps(payload, ensure_ascii=False, indent=2)
+
+
+def _pinned_corpus():
+    # non-ASCII, a quote, a backslash, control and separator characters
+    frame = Frame(("\u00fc", "\u65e5\u672c", 'q"t', "b\\s", "c\x01\n\t", "\u2028\x7f"))
+    yield MassFunction.from_assignments(
+        frame,
+        {
+            frame.subset(["\u00fc"]): 5e-324,
+            frame.subset(['q"t', "b\\s"]): 1e-300,
+            frame.subset(["c\x01\n\t", "\u65e5\u672c"]): 0.1,
+            frame.full_set(): 0.9,
+        },
+    )
+    single = Frame(("only",))
+    yield MassFunction.from_assignments(single, {single.full_set(): 1.0})
+    for n in (1, 2, 6):
+        yield max_deng(n).to_mass()
+        yield uniform_powerset(n).to_mass()
+
+
+class TestJsonBytes:
+    def test_mass_to_json_matches_the_stdlib_encoder(self):
+        for mass in _pinned_corpus():
+            assert mass_to_json(mass) == _stdlib_json(mass)
