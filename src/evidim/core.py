@@ -8,7 +8,8 @@ is stored flat, as parallel ``masks`` and ``masses`` tuples sorted by mask;
 :class:`Subset` objects are built only at API edges (``focal``,
 :meth:`Frame.subset`, error messages), never on the parse, expansion or
 kernel paths.  One private mask-level constructor,
-:meth:`MassFunction._from_masks`, owns every rule a mass function obeys.
+:meth:`MassFunction._from_masks`, owns the rules on masses, duplicate
+sets and the total; the masks it takes are nonempty by construction.
 
 The :class:`CardinalityProfile` compressed form has no frame cap and
 carries a log-domain copy of each per-set mass so that very large frames
@@ -27,6 +28,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations, repeat
 from json.encoder import encode_basestring
 from numbers import Real
 from operator import itemgetter
@@ -127,7 +129,7 @@ class Frame:
         return Subset(self, self._mask((label,)))
 
     def _mask(self, labels: Iterable[str]) -> int:
-        """Union of the labels' bits; 0 for no labels."""
+        """Union of the labels' bits; no labels is an EmptySubsetError."""
         bits = self._bits
         mask = 0
         for label in labels:
@@ -135,6 +137,8 @@ class Frame:
                 mask |= bits[label]
             except (KeyError, TypeError):  # TypeError: an unhashable label
                 raise UnknownLabelError(f"label {label!r} is not in the frame") from None
+        if not mask:
+            raise EmptySubsetError("the empty set cannot be a focal element")
         return mask
 
     def full_set(self) -> Subset:
@@ -240,16 +244,12 @@ class MassFunction:
     @classmethod
     def _from_masks(cls, frame: Frame, pairs: Iterable[tuple[int, object]]) -> MassFunction:
         """The one validated construction, from ``(mask, mass)`` pairs whose
-        masks lie within ``frame``: empty sets, masses :func:`_as_mass`
-        rejects, and duplicate masks are errors, zero masses are dropped,
+        masks are nonempty and lie within ``frame``: masses :func:`_as_mass`
+        rejects and duplicate masks are errors, zero masses are dropped,
         the rest sorted by mask, and the total checked."""
         kept: dict[int, float] = {}
         for mask, mass in pairs:
-            if not mask:
-                raise EmptySubsetError("the empty set cannot be a focal element")
-            if type(mass) is not float or not 0.0 <= mass < math.inf:
-                # coerce or reject anything but a plain finite float
-                mass = _as_mass(mass, Subset(frame, mask))
+            mass = _as_mass(mass, (frame, mask))
             if mask in kept:
                 raise DuplicateSubsetError(f"duplicate assignment for {Subset(frame, mask)!r}")
             kept[mask] = mass
@@ -445,8 +445,10 @@ class CardinalityProfile:
                 f"frame has {frame.size} elements, profile expects {self.frame_size}"
             )
         binomials = list(_binomials(self.frame_size))
-        # per-set mass by cardinality, None for an empty layer
-        layers: list[float | None] = [None] * (self.frame_size + 1)
+        # highest bit first, so each layer's masks come out descending,
+        # a run the sort in _from_masks reverses in one pass
+        bits = [1 << i for i in reversed(range(self.frame_size))]
+        pairs: list[tuple[int, float]] = []
         for card, row in self.rows:
             full = binomials[card]
             if row.count != full:
@@ -454,12 +456,7 @@ class CardinalityProfile:
                     f"cardinality {card} holds {row.count} of {full} subsets; "
                     "only full layers expand"
                 )
-            layers[card] = row.mass
-        pairs = [
-            (mask, mass)
-            for mask in range(1, 1 << self.frame_size)
-            if (mass := layers[mask.bit_count()]) is not None
-        ]
+            pairs += zip(map(sum, combinations(bits, card)), repeat(row.mass))
         return MassFunction._from_masks(frame, pairs)
 
 
@@ -477,10 +474,10 @@ def _as_mass(value, owner) -> float:
     """``value`` as a float: a value that is not a real number (a string
     or a bool, say), or one infinite or too large for a float, is an
     EvidenceError, and NaN or negative a NegativeMassError.  ``owner``
-    names it in messages."""
+    names it in messages (see :func:`_name`)."""
     # float and int listed first: they match before the slower ABC check
     if isinstance(value, bool) or not isinstance(value, (float, int, Real)):
-        raise EvidenceError(f"mass {value!r} of {owner} is not a real number")
+        raise EvidenceError(f"mass {value!r} of {_name(owner)} is not a real number")
     try:
         mass = float(value)
     except OverflowError:
@@ -488,12 +485,20 @@ def _as_mass(value, owner) -> float:
     if mass == math.inf:
         raise _too_large(owner)
     if not mass >= 0.0:
-        raise NegativeMassError(f"mass {mass!r} of {owner} is negative or NaN")
+        raise NegativeMassError(f"mass {mass!r} of {_name(owner)} is negative or NaN")
     return mass
 
 
+def _name(owner) -> str:
+    """A description as it is, or a ``(frame, mask)`` pair as its
+    :class:`Subset`, built only when a message needs it."""
+    if isinstance(owner, tuple):
+        return repr(Subset(*owner))
+    return owner
+
+
 def _too_large(owner) -> EvidenceError:
-    return EvidenceError(f"mass of {owner} is too large for a float")
+    return EvidenceError(f"mass of {_name(owner)} is too large for a float")
 
 
 def _check_unit_total(total: float, what: str):
@@ -505,7 +510,7 @@ def _check_unit_total(total: float, what: str):
 def _logsumexp2(values: list[float]) -> float:
     """log2 of a sum of powers of two, shifted to avoid overflow."""
     top = max(values)
-    return top + math.log2(math.fsum(2.0 ** (v - top) for v in values))
+    return top + math.log2(math.fsum([2.0 ** (v - top) for v in values]))
 
 
 # JSON wire format, shared by the CLI:

@@ -70,7 +70,7 @@ def _bits(rows: list[Row]) -> tuple[float, float]:
     """
     # log2(2^k - 1) once per cardinality, not once per focal set
     splits = [0.0] + [math.log2((1 << k) - 1) for k in range(1, max(r[0] for r in rows) + 1)]
-    entropy = math.fsum(2.0 ** (lc + lm) * (splits[k] - lm) for k, lc, lm, _ in rows)
+    entropy = math.fsum([2.0 ** (lc + lm) * (splits[k] - lm) for k, lc, lm, _ in rows])
     split = _logsumexp2([lc + m * splits[k] for k, lc, _, m in rows])
     return entropy, split
 

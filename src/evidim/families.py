@@ -33,10 +33,15 @@ def uniform_bayesian(n: int) -> CardinalityProfile:
 def uniform_powerset(n: int) -> CardinalityProfile:
     """Mass 1/(2^n - 1) on every nonempty subset."""
     _check_size(n, PROFILE_LIMIT)
-    den = (1 << n) - 1
+    # every set carries the same mass, so one row's mass and log2 serve all
+    each = ProfileRow.from_ratio(1, 1, (1 << n) - 1)
     return CardinalityProfile.from_rows(
         n,
-        {k: ProfileRow.from_ratio(count, 1, den) for k, count in enumerate(_binomials(n)) if k},
+        {
+            k: ProfileRow(count, each.mass, each.log2_mass)
+            for k, count in enumerate(_binomials(n))
+            if k
+        },
     )
 
 

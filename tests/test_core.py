@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,25 @@ class TestProfiles:
         with pytest.raises(FrameTooLargeError):
             vacuous(DEFAULT_EXPANSION_LIMIT + 1).to_mass()
 
+    def test_sparse_expansion_costs_its_focal_sets_only(self):
+        # expansion enumerates the populated layers, not all 2^N masks: one
+        # or N focal sets on N = 20 expand faster than 4095 on N = 12
+        n = DEFAULT_EXPANSION_LIMIT
+        assert len(vacuous(n).to_mass()) == 1
+        assert len(uniform_bayesian(n).to_mass()) == n
+
+        def best_of_three(profile):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                profile.to_mass()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        dense = best_of_three(max_deng(12))
+        assert best_of_three(vacuous(n)) < dense
+        assert best_of_three(uniform_bayesian(n)) < dense
+
     def test_partial_layer_rejected(self):
         profile = CardinalityProfile.from_counts(3, {1: (2, 0.5)})
         with pytest.raises(PartialLayerError):
@@ -541,6 +561,25 @@ class TestJsonFormat:
         text = json.dumps({"frame": ["a"], "focal": [{"elements": [], "mass": 1.0}]})
         with pytest.raises(EmptySubsetError):
             mass_from_json(text)
+
+    def test_empty_elements_are_reported_before_later_entries(self):
+        # each entry is checked as it is parsed, so the first defect wins
+        later = [{"elements": ["z"], "mass": 0.5}, {"elements": "a", "mass": 0.5},
+                 {"elements": ["a"], "mass": 0.5, "note": 1}]
+        for entry in later:
+            focal = [{"elements": [], "mass": 0.5}, entry]
+            text = json.dumps({"frame": ["a"], "focal": focal})
+            with pytest.raises(EmptySubsetError):
+                mass_from_json(text)
+
+    def test_bad_mass_is_named_by_its_focal_set(self):
+        text = json.dumps({"frame": ["a", "b"], "focal": [
+            {"elements": ["a"], "mass": 0.5}, {"elements": ["b", "a"], "mass": "0.5"}]})
+        with pytest.raises(EvidenceError, match=r"mass '0\.5' of Subset\(\{a, b\}\) is not"):
+            mass_from_json(text)
+        frame = Frame(("a", "b"))
+        with pytest.raises(NegativeMassError, match=r"of Subset\(\{b\}\) is negative"):
+            MassFunction.from_assignments(frame, {frame.singleton("b"): -1.0})
 
     def test_repeated_keys_rejected(self):
         # last-wins would read a valid mass function from either object
