@@ -14,7 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import mass_from_json
 from .dimension import DimensionReport, information_dimension
 from .experiments import (
     DECIMALS,
@@ -26,6 +25,7 @@ from .experiments import (
 )
 from .families import FAMILIES
 from .oracle import brute_force_report, compare_reports
+from .wire import mass_from_json
 
 ORACLE_TOLERANCE = 1e-9
 _BASES = {"2": 2.0, "e": math.e, "10": 10.0}
