@@ -17,7 +17,7 @@ mass = MassFunction.from_assignments(
 
 print("focal elements:")
 for subset, value in mass.focal:
-    print(f"  m({set(subset.members)}) = {value:.6f}")
+    print(f"  m({{{', '.join(subset.members)}}}) = {value:.6f}")
 
 # The entropy credits the pair {w1, w2} with its 2^2 - 1 = 3 nonempty
 # sub-possibilities, so it exceeds the Shannon entropy of (5/6, 1/6).

@@ -13,10 +13,16 @@ sets and the total; the masks it takes are nonempty by construction.
 
 The :class:`CardinalityProfile` compressed form has no frame cap and
 carries a log-domain copy of each per-set mass so that very large frames
-survive double-precision underflow.  Its set counts are exact ints, each
-checked against C(N, k) from one walk of the exact binomial recurrence
-:func:`_binomials` up the ascending rows; the families take their counts
-from the same helper.
+survive double-precision underflow.  It is stored flat too, as parallel
+``cards``, ``counts``, ``masses`` and ``log2_masses`` columns ascending in
+cardinality, plus the log2 of each count, taken once while validating;
+:class:`ProfileRow` objects are built only at API edges (the ``rows``
+view, :meth:`CardinalityProfile.from_rows`, ``from_counts`` and the
+constructor's input).  One private column-level validation,
+``CardinalityProfile._set_columns``, checks every profile, the families'
+included.  Its set counts are exact ints, each checked against C(N, k)
+from one walk of the exact binomial recurrence :func:`_binomials` up the
+ascending rows; the families take their counts from the same helper.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -27,8 +33,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from operator import gt
+from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_EXPLICIT_FRAME = 64
 DEFAULT_EXPANSION_LIMIT = 20
@@ -335,68 +341,130 @@ class ProfileRow:
         return cls(count, mass, math.log2(num) - math.log2(den))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CardinalityProfile:
     """Cardinality-symmetric mass function in compressed form.
 
-    ``rows`` maps cardinality k to a :class:`ProfileRow`, ascending in k
-    and holding positive-count layers only.  Exact for any family in
-    which all focal sets of equal cardinality share one mass.
+    Stored flat, as parallel columns ascending in cardinality: layer ``i``
+    holds ``counts[i]`` focal sets of cardinality ``cards[i]``, each
+    carrying ``masses[i]``, with ``log2_masses[i]`` its log2.  Only
+    positive-count layers appear.  :attr:`rows` shows the same layers as
+    ``(k, ProfileRow)`` pairs.  Exact for any family in which all focal
+    sets of equal cardinality share one mass.
     """
 
     frame_size: int
-    rows: tuple[tuple[int, ProfileRow], ...]
+    cards: tuple[int, ...]
+    counts: tuple[int, ...]
+    masses: tuple[float, ...]
+    log2_masses: tuple[float, ...]
+    # log2 of each count, taken once while validating; derived, so not compared
+    _log2_counts: tuple[float, ...] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if type(self.frame_size) is not int:
-            raise EvidenceError(f"frame size {self.frame_size!r} is not an int")
-        if self.frame_size < 1:
+    def __init__(self, frame_size: int, rows: Iterable[tuple[int, ProfileRow]]):
+        """Validated construction from ``(cardinality, ProfileRow)`` pairs
+        in any order."""
+        rows = tuple(rows)
+        self._set_columns(
+            frame_size,
+            [card for card, _ in rows],
+            [row.count for _, row in rows],
+            [row.mass for _, row in rows],
+            [row.log2_mass for _, row in rows],
+        )
+
+    @classmethod
+    def _from_columns(
+        cls,
+        frame_size: int,
+        cards: Sequence[int],
+        counts: Sequence[int],
+        masses: Sequence[float],
+        log2_masses: Sequence[float],
+    ) -> CardinalityProfile:
+        """Validated construction from columns of equal length, building no
+        :class:`ProfileRow`."""
+        profile = cls.__new__(cls)
+        profile._set_columns(frame_size, cards, counts, masses, log2_masses)
+        return profile
+
+    def _set_columns(self, frame_size, cards, counts, masses, log2_masses):
+        """The one validation of a profile, run on every construction.
+
+        The frame size and every cardinality must be ints; columns out of
+        cardinality order are then sorted.  Per layer, ascending: no
+        repeated cardinality, ``1 <= k <= N``, a count that is an int in
+        ``1..C(N, k)``, a finite log2 mass, and a mass that agrees with it.
+        Last, the masses must sum to one.
+        """
+        if type(frame_size) is not int:
+            raise EvidenceError(f"frame size {frame_size!r} is not an int")
+        if frame_size < 1:
             raise EvidenceError("frame size must be at least 1")
-        for card, _ in self.rows:
+        for card in cards:
             if type(card) is not int:
                 raise EvidenceError(f"cardinality {card!r} is not an int")
-        rows = tuple(sorted(self.rows, key=itemgetter(0)))
-        object.__setattr__(self, "rows", rows)
+        if any(map(gt, cards, cards[1:])):
+            # a stable sort, so that repeated cardinalities keep their order
+            order = sorted(range(len(cards)), key=cards.__getitem__)
+            cards, counts, masses, log2_masses = (
+                [column[i] for i in order] for column in (cards, counts, masses, log2_masses)
+            )
         # (k, C(N, k)) for ascending k; advanced to each row's cardinality
-        layers = enumerate(_binomials(self.frame_size))
+        layers = enumerate(_binomials(frame_size))
         previous = None
-        # read once for the per-row mass/log2_mass check
-        isclose, tolerance, smallest = math.isclose, SYMMETRY_TOLERANCE, sys.float_info.min
-        for card, row in rows:
+        # read once for the per-row checks
+        isclose, isfinite, log2 = math.isclose, math.isfinite, math.log2
+        tolerance, smallest = SYMMETRY_TOLERANCE, sys.float_info.min
+        log2_counts = []
+        for card, count, mass, log2_mass in zip(cards, counts, masses, log2_masses):
             if card == previous:
                 raise EvidenceError(f"duplicate cardinality row {card}")
             previous = card
-            if not 1 <= card <= self.frame_size:
-                raise EvidenceError(
-                    f"cardinality {card} outside 1..{self.frame_size}"
-                )
+            if not 1 <= card <= frame_size:
+                raise EvidenceError(f"cardinality {card} outside 1..{frame_size}")
             for k, full in layers:
                 if k == card:
                     break
-            if type(row.count) is not int:
-                raise EvidenceError(f"set count {row.count!r} of cardinality {card} is not an int")
-            if row.count <= 0:
+            if type(count) is not int:
+                raise EvidenceError(f"set count {count!r} of cardinality {card} is not an int")
+            if count <= 0:
                 raise EvidenceError("profile rows must have positive set counts")
-            if row.count > full:
+            if count > full:
                 raise EvidenceError(
-                    f"{row.count} sets of cardinality {card} exceed C({self.frame_size},{card})"
+                    f"{count} sets of cardinality {card} exceed C({frame_size},{card})"
                 )
-            if not math.isfinite(row.log2_mass):
+            if not isfinite(log2_mass):
                 raise NegativeMassError("per-set mass must be strictly positive")
             # the kernel reads both mass and log2_mass, so they must agree:
             # within a relative tolerance, or both below the smallest normal
             try:
-                agrees = isclose(
-                    row.mass, 2.0 ** row.log2_mass, rel_tol=tolerance, abs_tol=smallest
-                )
+                agrees = isclose(mass, 2.0 ** log2_mass, rel_tol=tolerance, abs_tol=smallest)
             except OverflowError:
                 agrees = False
             if not agrees:
                 raise EvidenceError(
-                    f"row of cardinality {card}: mass {row.mass!r} disagrees "
-                    f"with log2 mass {row.log2_mass!r}"
+                    f"row of cardinality {card}: mass {mass!r} disagrees "
+                    f"with log2 mass {log2_mass!r}"
                 )
+            log2_counts.append(log2(count))
+        object.__setattr__(self, "frame_size", frame_size)
+        object.__setattr__(self, "cards", tuple(cards))
+        object.__setattr__(self, "counts", tuple(counts))
+        object.__setattr__(self, "masses", tuple(masses))
+        object.__setattr__(self, "log2_masses", tuple(log2_masses))
+        object.__setattr__(self, "_log2_counts", tuple(log2_counts))
         _check_unit_total(self.total_mass(), "profile masses")
+
+    @property
+    def rows(self) -> tuple[tuple[int, ProfileRow], ...]:
+        """``(k, ProfileRow)`` pairs, ascending in k."""
+        return tuple(
+            (card, ProfileRow(count, mass, log2_mass))
+            for card, count, mass, log2_mass in zip(
+                self.cards, self.counts, self.masses, self.log2_masses
+            )
+        )
 
     @classmethod
     def from_rows(cls, frame_size: int, rows: Mapping[int, ProfileRow]) -> CardinalityProfile:
@@ -413,12 +481,16 @@ class CardinalityProfile:
         )
 
     def total_mass(self) -> float:
-        """Sum of count * mass over all rows, summed in the log domain."""
-        if not self.rows:
+        """Sum of count * mass over all rows, summed in the log domain;
+        ``inf`` when the sum is too large for a float."""
+        if not self.cards:
             return 0.0
-        return 2.0 ** _logsumexp2(
-            [math.log2(row.count) + row.log2_mass for _, row in self.rows]
-        )
+        try:
+            return 2.0 ** _logsumexp2(
+                [lc + lm for lc, lm in zip(self._log2_counts, self.log2_masses)]
+            )
+        except OverflowError:
+            return math.inf
 
     def to_mass(self, frame: Frame | None = None) -> MassFunction:
         """Expand into an explicit mass function, enumerating every subset
@@ -445,14 +517,14 @@ class CardinalityProfile:
         # a run the sort in _from_masks reverses in one pass
         bits = [1 << i for i in reversed(range(self.frame_size))]
         pairs: list[tuple[int, float]] = []
-        for card, row in self.rows:
+        for card, count, mass in zip(self.cards, self.counts, self.masses):
             full = binomials[card]
-            if row.count != full:
+            if count != full:
                 raise PartialLayerError(
-                    f"cardinality {card} holds {row.count} of {full} subsets; "
+                    f"cardinality {card} holds {count} of {full} subsets; "
                     "only full layers expand"
                 )
-            pairs += zip(map(sum, combinations(bits, card)), repeat(row.mass))
+            pairs += zip(map(sum, combinations(bits, card)), repeat(mass))
         return MassFunction._from_masks(frame, pairs)
 
 

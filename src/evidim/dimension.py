@@ -52,9 +52,7 @@ def _mass_rows(mass: MassFunction) -> list[Row]:
 
 
 def _profile_rows(profile: CardinalityProfile) -> list[Row]:
-    return [
-        (card, math.log2(row.count), row.log2_mass, row.mass) for card, row in profile.rows
-    ]
+    return list(zip(profile.cards, profile._log2_counts, profile.log2_masses, profile.masses))
 
 
 def _probability_rows(dist: ProbabilityDistribution) -> list[Row]:

@@ -4,9 +4,12 @@ All four families are cardinality-symmetric, so a profile represents them
 exactly, and rational construction keeps their total mass exactly 1.  Layer
 counts C(n, k) are exact ints from the binomial recurrence in
 :func:`evidim.core._binomials`, one multiply and one exact division per row.
+``uniform_powerset`` and ``max_deng`` hand their layers to the profile as
+columns, so they build no per-row object.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .core import CardinalityProfile, EvidenceError, FrameTooLargeError, ProfileRow, _binomials
@@ -35,13 +38,8 @@ def uniform_powerset(n: int) -> CardinalityProfile:
     _check_size(n, PROFILE_LIMIT)
     # every set carries the same mass, so one row's mass and log2 serve all
     each = ProfileRow.from_ratio(1, 1, (1 << n) - 1)
-    return CardinalityProfile.from_rows(
-        n,
-        {
-            k: ProfileRow(count, each.mass, each.log2_mass)
-            for k, count in enumerate(_binomials(n))
-            if k
-        },
+    return CardinalityProfile._from_columns(
+        n, range(1, n + 1), tuple(_binomials(n))[1:], (each.mass,) * n, (each.log2_mass,) * n
     )
 
 
@@ -53,13 +51,17 @@ def max_deng(n: int) -> CardinalityProfile:
     """
     _check_size(n, PROFILE_LIMIT)
     den = 3 ** n - 2 ** n
-    return CardinalityProfile.from_rows(
+    log2_den = math.log2(den)
+    nums = [(1 << k) - 1 for k in range(1, n + 1)]
+    # ProfileRow.from_ratio's values, with log2(den) taken once; its
+    # num == den shortcut (n = 1) gives 1.0 and 0.0, as do x / x and
+    # log2(x) - log2(x) here
+    return CardinalityProfile._from_columns(
         n,
-        {
-            k: ProfileRow.from_ratio(count, (1 << k) - 1, den)
-            for k, count in enumerate(_binomials(n))
-            if k
-        },
+        range(1, n + 1),
+        tuple(_binomials(n))[1:],
+        [num / den for num in nums],
+        [math.log2(num) - log2_den for num in nums],
     )
 
 

@@ -8,18 +8,12 @@ from __future__ import annotations
 
 import math
 
-from .core import FrameTooLargeError, MassFunction
+from .core import MassFunction
 from .dimension import DimensionReport
-
-ORACLE_FRAME_LIMIT = 20
 
 
 def brute_force_report(mass: MassFunction) -> DimensionReport:
     """Per-focal-element evaluation of entropy, split scale, and dimension."""
-    if mass.frame.size > ORACLE_FRAME_LIMIT:
-        raise FrameTooLargeError(
-            f"brute force is capped at {ORACLE_FRAME_LIMIT} elements, got {mass.frame.size}"
-        )
     if len(mass.masks) == 1 and _popcount(mass.masks[0]) == 1:
         return DimensionReport(0.0, 0.0, 0.0, True)
     entropy_terms = []

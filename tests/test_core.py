@@ -380,6 +380,39 @@ class TestProfiles:
         CardinalityProfile(1100, ((1, ProfileRow.from_ratio(1, (1 << 1100) - 1, 1 << 1100)),
                                   (2, tiny)))
 
+    def test_overflowing_total_is_not_one(self):
+        # count * mass = 2^1150 overflows a double; OverflowError escaped
+        with pytest.raises(NonUnitTotalError):
+            CardinalityProfile.from_counts(200, {100: (2**150, 2.0**1000)})
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            (((1, ProfileRow(2.0, 0.5, -1.0)),), EvidenceError, "set count 2.0 .* not an int"),
+            (((1, ProfileRow(3, 1 / 3, -math.log2(3))),), EvidenceError, r"exceed C\(2,1\)"),
+            (((1, ProfileRow(0, 0.5, -1.0)), (2, ProfileRow(1, 1.0, 0.0))),
+             EvidenceError, "positive set counts"),
+            (((2, ProfileRow(1, 1.0, math.inf)),), NegativeMassError, "strictly positive"),
+            (((2, ProfileRow(1, 1.0, math.nan)),), NegativeMassError, "strictly positive"),
+            (((2, ProfileRow(1, 1.0, -1.0)),), EvidenceError, "disagrees with log2 mass"),
+            (((2, ProfileRow(1, 1.0, 0.0)), ("1", ProfileRow(1, 1.0, 0.0))),
+             EvidenceError, "cardinality '1' is not an int"),
+        ],
+    )
+    def test_constructor_reaches_every_column_check(self, rows, error, message):
+        with pytest.raises(error, match=message):
+            CardinalityProfile(2, rows)
+
+    def test_constructor_sorts_rows_into_columns(self):
+        pair = ProfileRow(1, 0.5, -1.0)
+        singles = ProfileRow(2, 0.25, -2.0)
+        profile = CardinalityProfile(2, ((2, pair), (1, singles)))
+        assert profile == CardinalityProfile(2, ((1, singles), (2, pair)))
+        assert (profile.cards, profile.counts, profile.masses, profile.log2_masses) == (
+            (1, 2), (2, 1), (0.25, 0.5), (-2.0, -1.0)
+        )
+        assert profile.rows == ((1, singles), (2, pair))
+
     def test_zero_count_rows_dropped(self):
         profile = CardinalityProfile.from_counts(2, {1: (0, 0.0), 2: (1, 1.0)})
         assert len(profile.rows) == 1

@@ -9,9 +9,11 @@ import pytest
 from evidim import (
     FAMILIES,
     PROFILE_LIMIT,
+    CardinalityProfile,
     EvidenceError,
     Frame,
     FrameTooLargeError,
+    ProfileRow,
     UnknownFamilyError,
     deng_entropy_profile,
     family_profile,
@@ -173,6 +175,34 @@ class TestBinomialCounts:
         report = information_dimension_profile(family_profile(family, n))
         values = (report.entropy_bits, report.split_scale_bits, report.dimension)
         assert repr(values) == repr(PINNED[family, n])
+
+
+class TestFlatColumns:
+    SIZES = (1, 2, 3, 17, 200, 1024)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_rows_view_matches_columns(self, name):
+        for n in self.SIZES:
+            profile = family_profile(name, n)
+            rows = profile.rows
+            cards = [k for k, _ in rows]
+            assert cards == list(profile.cards) == sorted(set(cards)), n
+            assert all(type(row) is ProfileRow for _, row in rows), n
+            assert tuple(row.count for _, row in rows) == profile.counts, n
+            assert tuple(row.mass for _, row in rows) == profile.masses, n
+            assert tuple(row.log2_mass for _, row in rows) == profile.log2_masses, n
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_rebuilt_from_rows_is_the_same_profile(self, name):
+        for n in self.SIZES:
+            profile = family_profile(name, n)
+            rebuilt = CardinalityProfile(n, profile.rows)
+            assert rebuilt == profile, n
+            assert hash(rebuilt) == hash(profile), n
+            assert repr(rebuilt.total_mass()) == repr(profile.total_mass()), n
+            assert repr(information_dimension_profile(rebuilt)) == repr(
+                information_dimension_profile(profile)
+            ), n
 
 
 def _rational_mass(name: str, n: int, k: int) -> tuple[int, int]:

@@ -10,16 +10,17 @@ from evidim import (
     DimensionReport,
     FAMILIES,
     Frame,
-    FrameTooLargeError,
     MassFunction,
     brute_force_report,
     compare_reports,
     family_profile,
     information_dimension,
     information_dimension_profile,
+    mass_to_json,
     max_deng,
     uniform_powerset,
 )
+from evidim.cli import main
 
 
 class TestBruteForce:
@@ -35,11 +36,16 @@ class TestBruteForce:
         mass = MassFunction.from_assignments(frame, {frame.subset(["a"]): 1.0})
         assert brute_force_report(mass) == DimensionReport(0.0, 0.0, 0.0, True)
 
-    def test_frame_limit(self):
-        frame = Frame.generic(21)
-        mass = MassFunction.from_assignments(frame, {frame.full_set(): 1.0})
-        with pytest.raises(FrameTooLargeError):
-            brute_force_report(mass)
+    def test_thirty_element_frame(self, tmp_path):
+        # brute force costs one step per focal set, whatever the frame size
+        frame = Frame.generic(30)
+        mass = MassFunction.from_assignments(
+            frame, {frame.singleton("e1"): 0.25, frame.full_set(): 0.75}
+        )
+        assert compare_reports(information_dimension(mass), brute_force_report(mass), 1e-9)
+        path = tmp_path / "mass.json"
+        path.write_text(mass_to_json(mass), encoding="utf-8")
+        assert main(["compute", str(path), "--oracle"]) == 0
 
     def test_uniform_powerset_twelve_matches_profile(self):
         profile = uniform_powerset(12)
