@@ -16,13 +16,14 @@ carries a log-domain copy of each per-set mass so that very large frames
 survive double-precision underflow.  It is stored flat too, as parallel
 ``cards``, ``counts``, ``masses`` and ``log2_masses`` columns ascending in
 cardinality, plus the log2 of each count, taken once while validating;
-:class:`ProfileRow` objects are built only at API edges (the ``rows``
-view, :meth:`CardinalityProfile.from_rows`, ``from_counts`` and the
-constructor's input).  One private column-level validation,
-``CardinalityProfile._set_columns``, checks every profile, the families'
-included.  Its set counts are exact ints, each checked against C(N, k)
-from one walk of the exact binomial recurrence :func:`_binomials` up the
-ascending rows; the families take their counts from the same helper.
+:class:`ProfileRow` objects are built only for the ``rows`` view.  It has
+one public constructor, :meth:`CardinalityProfile.from_counts`, which
+checks its plain input and takes each mass's log2.  It and the families,
+whose columns come from exact ratios, build through one private one,
+``CardinalityProfile._from_columns``, which validates every profile.  Set
+counts are exact ints, each checked against C(N, k) from one walk of the
+exact binomial recurrence :func:`_binomials` up the ascending rows; the
+families take their counts from the same helper.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -30,10 +31,8 @@ threads.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
-from operator import gt
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_EXPLICIT_FRAME = 64
@@ -303,13 +302,14 @@ class MassFunction:
                 raise NotCardinalitySymmetricError(
                     f"focal sets of cardinality {card} carry unequal masses"
                 )
-            rows[card] = ProfileRow.from_mass(len(masses), masses[0])
-        return CardinalityProfile.from_rows(self.frame.size, rows)
+            rows[card] = (len(masses), masses[0])
+        return CardinalityProfile.from_counts(self.frame.size, rows)
 
 
 @dataclass(frozen=True)
 class ProfileRow:
-    """One cardinality layer: how many focal sets, and the mass each carries.
+    """One cardinality layer, as the :attr:`CardinalityProfile.rows` view
+    shows it: how many focal sets, and the mass each carries.
 
     ``log2_mass`` is the authoritative log-domain value; ``mass`` is its
     double-precision image and may underflow to 0.0 for huge frames.
@@ -318,27 +318,6 @@ class ProfileRow:
     count: int
     mass: float
     log2_mass: float
-
-    @classmethod
-    def from_mass(cls, count: int, mass: float) -> ProfileRow:
-        mass = _as_mass(mass, "a profile row")
-        if mass == 0.0:
-            raise NegativeMassError("per-set mass must be strictly positive")
-        return cls(count, mass, math.log2(mass))
-
-    @classmethod
-    def from_ratio(cls, count: int, num: int, den: int) -> ProfileRow:
-        """Exact-integer construction; keeps the log-domain mass accurate
-        even when num/den underflows a double."""
-        if num <= 0 or den <= 0:
-            raise NegativeMassError("per-set mass must be strictly positive")
-        if num == den:
-            return cls(count, 1.0, 0.0)
-        try:
-            mass = num / den
-        except OverflowError:
-            raise _too_large("a profile row") from None
-        return cls(count, mass, math.log2(num) - math.log2(den))
 
 
 @dataclass(frozen=True, init=False)
@@ -350,7 +329,8 @@ class CardinalityProfile:
     carrying ``masses[i]``, with ``log2_masses[i]`` its log2.  Only
     positive-count layers appear.  :attr:`rows` shows the same layers as
     ``(k, ProfileRow)`` pairs.  Exact for any family in which all focal
-    sets of equal cardinality share one mass.
+    sets of equal cardinality share one mass.  Construct through
+    :meth:`from_counts`, which validates.
     """
 
     frame_size: int
@@ -361,17 +341,38 @@ class CardinalityProfile:
     # log2 of each count, taken once while validating; derived, so not compared
     _log2_counts: tuple[float, ...] = field(repr=False, compare=False)
 
-    def __init__(self, frame_size: int, rows: Iterable[tuple[int, ProfileRow]]):
-        """Validated construction from ``(cardinality, ProfileRow)`` pairs
-        in any order."""
-        rows = tuple(rows)
-        self._set_columns(
-            frame_size,
-            [card for card, _ in rows],
-            [row.count for _, row in rows],
-            [row.mass for _, row in rows],
-            [row.log2_mass for _, row in rows],
-        )
+    @classmethod
+    def from_counts(
+        cls, frame_size: int, rows: Mapping[int, tuple[int, float]]
+    ) -> CardinalityProfile:
+        """Validated construction from plain ``{cardinality: (set_count,
+        per_set_mass)}``, in any order.
+
+        Cardinalities and set counts must be ints, and masses real numbers
+        that :func:`_as_mass` accepts; a layer with a zero count is dropped,
+        and a zero mass on any other layer is an error.
+        """
+        layers = []
+        for card, row in rows.items():
+            if type(card) is not int:
+                raise EvidenceError(f"cardinality {card!r} is not an int")
+            try:
+                count, mass = row
+            except (TypeError, ValueError):
+                raise EvidenceError(
+                    f"row {row!r} of cardinality {card} is not a (set count, mass) pair"
+                ) from None
+            if type(count) is not int:
+                raise EvidenceError(f"set count {count!r} of cardinality {card} is not an int")
+            if count:
+                mass = _as_mass(mass, "a profile row")
+                if mass == 0.0:
+                    raise NegativeMassError("per-set mass must be strictly positive")
+                layers.append((card, count, mass, math.log2(mass)))
+        # the cardinalities are distinct ints, so this sorts by cardinality
+        layers.sort()
+        cards, counts, masses, log2_masses = zip(*layers) if layers else ((), (), (), ())
+        return cls._from_columns(frame_size, cards, counts, masses, log2_masses)
 
     @classmethod
     def _from_columns(
@@ -382,79 +383,44 @@ class CardinalityProfile:
         masses: Sequence[float],
         log2_masses: Sequence[float],
     ) -> CardinalityProfile:
-        """Validated construction from columns of equal length, building no
-        :class:`ProfileRow`."""
-        profile = cls.__new__(cls)
-        profile._set_columns(frame_size, cards, counts, masses, log2_masses)
-        return profile
-
-    def _set_columns(self, frame_size, cards, counts, masses, log2_masses):
         """The one validation of a profile, run on every construction.
 
-        The frame size and every cardinality must be ints; columns out of
-        cardinality order are then sorted.  Per layer, ascending: no
-        repeated cardinality, ``1 <= k <= N``, a count that is an int in
-        ``1..C(N, k)``, a finite log2 mass, and a mass that agrees with it.
-        Last, the masses must sum to one.
+        Takes columns of equal length, strictly ascending in cardinality,
+        of int cardinalities and counts, each mass the double image of its
+        log2 mass.  The frame size must be an int of at least 1; per layer,
+        ``1 <= k <= N`` and a count in ``1..C(N, k)``.  Last, the masses
+        must sum to one.
         """
         if type(frame_size) is not int:
             raise EvidenceError(f"frame size {frame_size!r} is not an int")
         if frame_size < 1:
             raise EvidenceError("frame size must be at least 1")
-        for card in cards:
-            if type(card) is not int:
-                raise EvidenceError(f"cardinality {card!r} is not an int")
-        if any(map(gt, cards, cards[1:])):
-            # a stable sort, so that repeated cardinalities keep their order
-            order = sorted(range(len(cards)), key=cards.__getitem__)
-            cards, counts, masses, log2_masses = (
-                [column[i] for i in order] for column in (cards, counts, masses, log2_masses)
-            )
         # (k, C(N, k)) for ascending k; advanced to each row's cardinality
         layers = enumerate(_binomials(frame_size))
-        previous = None
-        # read once for the per-row checks
-        isclose, isfinite, log2 = math.isclose, math.isfinite, math.log2
-        tolerance, smallest = SYMMETRY_TOLERANCE, sys.float_info.min
+        log2 = math.log2
         log2_counts = []
-        for card, count, mass, log2_mass in zip(cards, counts, masses, log2_masses):
-            if card == previous:
-                raise EvidenceError(f"duplicate cardinality row {card}")
-            previous = card
+        for card, count in zip(cards, counts):
             if not 1 <= card <= frame_size:
                 raise EvidenceError(f"cardinality {card} outside 1..{frame_size}")
             for k, full in layers:
                 if k == card:
                     break
-            if type(count) is not int:
-                raise EvidenceError(f"set count {count!r} of cardinality {card} is not an int")
             if count <= 0:
                 raise EvidenceError("profile rows must have positive set counts")
             if count > full:
                 raise EvidenceError(
                     f"{count} sets of cardinality {card} exceed C({frame_size},{card})"
                 )
-            if not isfinite(log2_mass):
-                raise NegativeMassError("per-set mass must be strictly positive")
-            # the kernel reads both mass and log2_mass, so they must agree:
-            # within a relative tolerance, or both below the smallest normal
-            try:
-                agrees = isclose(mass, 2.0 ** log2_mass, rel_tol=tolerance, abs_tol=smallest)
-            except OverflowError:
-                agrees = False
-            if not agrees:
-                raise EvidenceError(
-                    f"row of cardinality {card}: mass {mass!r} disagrees "
-                    f"with log2 mass {log2_mass!r}"
-                )
             log2_counts.append(log2(count))
-        object.__setattr__(self, "frame_size", frame_size)
-        object.__setattr__(self, "cards", tuple(cards))
-        object.__setattr__(self, "counts", tuple(counts))
-        object.__setattr__(self, "masses", tuple(masses))
-        object.__setattr__(self, "log2_masses", tuple(log2_masses))
-        object.__setattr__(self, "_log2_counts", tuple(log2_counts))
-        _check_unit_total(self.total_mass(), "profile masses")
+        profile = cls.__new__(cls)
+        object.__setattr__(profile, "frame_size", frame_size)
+        object.__setattr__(profile, "cards", tuple(cards))
+        object.__setattr__(profile, "counts", tuple(counts))
+        object.__setattr__(profile, "masses", tuple(masses))
+        object.__setattr__(profile, "log2_masses", tuple(log2_masses))
+        object.__setattr__(profile, "_log2_counts", tuple(log2_counts))
+        _check_unit_total(profile.total_mass(), "profile masses")
+        return profile
 
     @property
     def rows(self) -> tuple[tuple[int, ProfileRow], ...]:
@@ -464,20 +430,6 @@ class CardinalityProfile:
             for card, count, mass, log2_mass in zip(
                 self.cards, self.counts, self.masses, self.log2_masses
             )
-        )
-
-    @classmethod
-    def from_rows(cls, frame_size: int, rows: Mapping[int, ProfileRow]) -> CardinalityProfile:
-        return cls(frame_size, tuple((k, row) for k, row in rows.items() if row.count != 0))
-
-    @classmethod
-    def from_counts(
-        cls, frame_size: int, rows: Mapping[int, tuple[int, float]]
-    ) -> CardinalityProfile:
-        """Build from plain ``{cardinality: (set_count, per_set_mass)}``."""
-        return cls.from_rows(
-            frame_size,
-            {k: ProfileRow.from_mass(count, mass) for k, (count, mass) in rows.items() if count},
         )
 
     def total_mass(self) -> float:

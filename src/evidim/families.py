@@ -4,15 +4,16 @@ All four families are cardinality-symmetric, so a profile represents them
 exactly, and rational construction keeps their total mass exactly 1.  Layer
 counts C(n, k) are exact ints from the binomial recurrence in
 :func:`evidim.core._binomials`, one multiply and one exact division per row.
-``uniform_powerset`` and ``max_deng`` hand their layers to the profile as
-columns, so they build no per-row object.
+Each family hands its layers to the profile as columns, with each per-set
+mass num/den and its log2 taken as log2(num) - log2(den) from the exact
+ints, so the log2 stays accurate where num/den underflows a double.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable
 
-from .core import CardinalityProfile, EvidenceError, FrameTooLargeError, ProfileRow, _binomials
+from .core import CardinalityProfile, EvidenceError, FrameTooLargeError, _binomials
 
 PROFILE_LIMIT = 1024
 
@@ -24,22 +25,22 @@ class UnknownFamilyError(EvidenceError):
 def vacuous(n: int) -> CardinalityProfile:
     """Total ignorance: the whole frame carries mass 1."""
     _check_size(n)
-    return CardinalityProfile.from_rows(n, {n: ProfileRow.from_ratio(1, 1, 1)})
+    return CardinalityProfile._from_columns(n, (n,), (1,), (1.0,), (0.0,))
 
 
 def uniform_bayesian(n: int) -> CardinalityProfile:
     """Mass 1/n on each singleton (a uniform probability distribution)."""
     _check_size(n)
-    return CardinalityProfile.from_rows(n, {1: ProfileRow.from_ratio(n, 1, n)})
+    mass, log2_mass = _ratio(1, n)
+    return CardinalityProfile._from_columns(n, (1,), (n,), (mass,), (log2_mass,))
 
 
 def uniform_powerset(n: int) -> CardinalityProfile:
     """Mass 1/(2^n - 1) on every nonempty subset."""
     _check_size(n, PROFILE_LIMIT)
-    # every set carries the same mass, so one row's mass and log2 serve all
-    each = ProfileRow.from_ratio(1, 1, (1 << n) - 1)
+    mass, log2_mass = _ratio(1, (1 << n) - 1)
     return CardinalityProfile._from_columns(
-        n, range(1, n + 1), tuple(_binomials(n))[1:], (each.mass,) * n, (each.log2_mass,) * n
+        n, range(1, n + 1), tuple(_binomials(n))[1:], (mass,) * n, (log2_mass,) * n
     )
 
 
@@ -53,9 +54,7 @@ def max_deng(n: int) -> CardinalityProfile:
     den = 3 ** n - 2 ** n
     log2_den = math.log2(den)
     nums = [(1 << k) - 1 for k in range(1, n + 1)]
-    # ProfileRow.from_ratio's values, with log2(den) taken once; its
-    # num == den shortcut (n = 1) gives 1.0 and 0.0, as do x / x and
-    # log2(x) - log2(x) here
+    # _ratio's values, with log2(den) taken once
     return CardinalityProfile._from_columns(
         n,
         range(1, n + 1),
@@ -90,3 +89,9 @@ def _check_size(n: int, limit: int | None = None):
         raise EvidenceError("frame size must be at least 1")
     if limit is not None and n > limit:
         raise FrameTooLargeError(f"family profiles are capped at {limit} elements, got {n}")
+
+
+def _ratio(num: int, den: int) -> tuple[float, float]:
+    """Per-set mass num/den and its log2, each taken from the exact ints;
+    num == den gives 1.0 and 0.0."""
+    return num / den, math.log2(num) - math.log2(den)

@@ -31,7 +31,6 @@ from evidim import (
     NotCardinalitySymmetricError,
     PartialLayerError,
     ProbabilityDistribution,
-    ProfileRow,
     Subset,
     UnknownLabelError,
     deng_entropy,
@@ -316,22 +315,23 @@ class TestProfiles:
         with pytest.raises(EvidenceError):
             CardinalityProfile.from_counts(2, {3: (1, 1.0)})  # k > N
         with pytest.raises(NegativeMassError):
-            ProfileRow.from_mass(1, 0.0)
+            CardinalityProfile.from_counts(1, {1: (1, 0.0)})
         with pytest.raises(NegativeMassError):
-            ProfileRow.from_mass(1, math.nan)
+            CardinalityProfile.from_counts(1, {1: (1, math.nan)})
         with pytest.raises(EvidenceError, match="too large for a float"):
             CardinalityProfile.from_counts(2, {1: (2, 10**400)})
         with pytest.raises(EvidenceError, match="too large for a float"):
             CardinalityProfile.from_counts(1, {1: (1, math.inf)})
-        with pytest.raises(EvidenceError, match="too large for a float"):
-            ProfileRow.from_ratio(1, 10**400, 1)
         # set counts: 1.5 and True were accepted; 2.5 failed only the C(2,1) bound;
-        # "2" escaped as a TypeError, and -1 was dropped while the rest summed to 1
+        # "2" escaped as a TypeError, and -1 was dropped while the rest summed to 1;
+        # a zero count that is not an int, False or 0.0, was dropped
         for size, rows in (
             (3, {1: (1.5, 2 / 3)}),
             (3, {1: (True, 1.0)}),
             (2, {1: (2.5, 0.4)}),
             (2, {1: ("2", 0.5)}),
+            (2, {1: (False, 0.5), 2: (1, 1.0)}),
+            (2, {1: (0.0, 0.5), 2: (1, 1.0)}),
         ):
             with pytest.raises(EvidenceError, match="not an int"):
                 CardinalityProfile.from_counts(size, rows)
@@ -340,45 +340,30 @@ class TestProfiles:
         with pytest.raises(EvidenceError, match="not a real number"):
             CardinalityProfile.from_counts(1, {1: (1, "1")})
         # a float or str cardinality and a float frame size escaped as TypeErrors,
-        # and a bool frame size built a profile
+        # and a bool frame size built a profile; a str key beside an int one
+        # must be named before sorting compares the two
         for size, rows in (
             (2, {1.5: (1, 1.0)}),
             (2, {"1": (2, 0.5)}),
+            (2, {"1": (2, 0.5), 2: (1, 1.0)}),
             (2.5, {1: (2, 0.5)}),
             (True, {1: (1, 1.0)}),
         ):
             with pytest.raises(EvidenceError, match="not an int"):
                 CardinalityProfile.from_counts(size, rows)
-
-    def test_duplicate_cardinality_rows_rejected(self):
-        # rows of unequal mass made sorting compare ProfileRows: a TypeError
-        quarter, three_quarters = ProfileRow.from_mass(1, 0.25), ProfileRow.from_mass(1, 0.75)
-        for rows in (((1, quarter), (1, three_quarters)), ((1, quarter), (1, quarter))):
-            with pytest.raises(EvidenceError, match="duplicate cardinality row 1"):
-                CardinalityProfile(2, rows)
+        # a row that is not a (count, mass) pair escaped as a TypeError or ValueError
+        for rows in ({1: 0.5}, {1: (1, 1.0, 3)}, {1: (1,)}):
+            with pytest.raises(EvidenceError, match=r"not a \(set count, mass\) pair"):
+                CardinalityProfile.from_counts(1, rows)
 
     def test_count_bound_is_exact_for_large_frames(self):
         full = math.comb(1000, 500)
-        accepted = CardinalityProfile.from_rows(1000, {500: ProfileRow.from_ratio(full, 1, full)})
-        assert accepted.rows[0][1].count == full
-        # total mass is exactly 1 here too, so only the C(1000,500) bound can reject
+        accepted = CardinalityProfile.from_counts(1000, {500: (full, 1 / full)})
+        assert accepted.counts == (full,)
+        # the total is one within tolerance here too, so only the C(1000,500)
+        # bound can reject
         with pytest.raises(EvidenceError, match=r"exceed C\(1000,500\)"):
-            CardinalityProfile.from_rows(
-                1000, {500: ProfileRow.from_ratio(full + 1, 1, full + 1)}
-            )
-
-    def test_row_mass_must_match_its_log2(self):
-        # the kernel took the split scale from mass and the entropy from
-        # log2_mass, and reported dimension 2.0 > log2 3 for this row
-        with pytest.raises(EvidenceError, match="log2 mass"):
-            information_dimension_profile(CardinalityProfile(2, ((2, ProfileRow(1, 0.5, 0.0)),)))
-        with pytest.raises(EvidenceError, match="log2 mass"):
-            CardinalityProfile(1, ((1, ProfileRow(1, 1.0, 2000.0)),))
-        # rows whose masses underflow a double agree through the absolute floor
-        tiny = ProfileRow.from_ratio(1, 1, 1 << 1100)
-        assert tiny.mass == 0.0
-        CardinalityProfile(1100, ((1, ProfileRow.from_ratio(1, (1 << 1100) - 1, 1 << 1100)),
-                                  (2, tiny)))
+            CardinalityProfile.from_counts(1000, {500: (full + 1, 1 / (full + 1))})
 
     def test_overflowing_total_is_not_one(self):
         # count * mass = 2^1150 overflows a double; OverflowError escaped
@@ -386,32 +371,25 @@ class TestProfiles:
             CardinalityProfile.from_counts(200, {100: (2**150, 2.0**1000)})
 
     @pytest.mark.parametrize(
-        "rows, error, message",
+        "rows, message",
         [
-            (((1, ProfileRow(2.0, 0.5, -1.0)),), EvidenceError, "set count 2.0 .* not an int"),
-            (((1, ProfileRow(3, 1 / 3, -math.log2(3))),), EvidenceError, r"exceed C\(2,1\)"),
-            (((1, ProfileRow(0, 0.5, -1.0)), (2, ProfileRow(1, 1.0, 0.0))),
-             EvidenceError, "positive set counts"),
-            (((2, ProfileRow(1, 1.0, math.inf)),), NegativeMassError, "strictly positive"),
-            (((2, ProfileRow(1, 1.0, math.nan)),), NegativeMassError, "strictly positive"),
-            (((2, ProfileRow(1, 1.0, -1.0)),), EvidenceError, "disagrees with log2 mass"),
-            (((2, ProfileRow(1, 1.0, 0.0)), ("1", ProfileRow(1, 1.0, 0.0))),
-             EvidenceError, "cardinality '1' is not an int"),
+            ({1: (2.0, 0.5)}, "set count 2.0 .* not an int"),
+            ({1: (3, 1 / 3)}, r"exceed C\(2,1\)"),
+            ({1: (-1, 0.5), 2: (1, 1.0)}, "positive set counts"),
+            ({3: (1, 1.0)}, r"cardinality 3 outside 1\.\.2"),
+            ({2: (1, 1.0), "1": (1, 1.0)}, "cardinality '1' is not an int"),
         ],
     )
-    def test_constructor_reaches_every_column_check(self, rows, error, message):
-        with pytest.raises(error, match=message):
-            CardinalityProfile(2, rows)
+    def test_constructor_reaches_every_column_check(self, rows, message):
+        with pytest.raises(EvidenceError, match=message):
+            CardinalityProfile.from_counts(2, rows)
 
-    def test_constructor_sorts_rows_into_columns(self):
-        pair = ProfileRow(1, 0.5, -1.0)
-        singles = ProfileRow(2, 0.25, -2.0)
-        profile = CardinalityProfile(2, ((2, pair), (1, singles)))
-        assert profile == CardinalityProfile(2, ((1, singles), (2, pair)))
+    def test_from_counts_sorts_layers(self):
+        profile = CardinalityProfile.from_counts(2, {2: (1, 0.5), 1: (2, 0.25)})
+        assert profile == CardinalityProfile.from_counts(2, {1: (2, 0.25), 2: (1, 0.5)})
         assert (profile.cards, profile.counts, profile.masses, profile.log2_masses) == (
             (1, 2), (2, 1), (0.25, 0.5), (-2.0, -1.0)
         )
-        assert profile.rows == ((1, singles), (2, pair))
 
     def test_zero_count_rows_dropped(self):
         profile = CardinalityProfile.from_counts(2, {1: (0, 0.0), 2: (1, 1.0)})

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from evidim import (
     FAMILIES,
     PROFILE_LIMIT,
-    CardinalityProfile,
+    SYMMETRY_TOLERANCE,
     EvidenceError,
     Frame,
     FrameTooLargeError,
@@ -193,17 +194,20 @@ class TestFlatColumns:
             assert tuple(row.log2_mass for _, row in rows) == profile.log2_masses, n
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
-    def test_rebuilt_from_rows_is_the_same_profile(self, name):
-        for n in self.SIZES:
+    def test_columns_are_the_exact_ratios(self, name):
+        # each layer's mass and log2 mass come from the same exact ratio, so
+        # the kernel's two sums, one over each, describe one mass function
+        for n in (1, 2, 3, 17, 200, 511, 512, 1023, 1024):
             profile = family_profile(name, n)
-            rebuilt = CardinalityProfile(n, profile.rows)
-            assert rebuilt == profile, n
-            assert hash(rebuilt) == hash(profile), n
-            assert repr(rebuilt.total_mass()) == repr(profile.total_mass()), n
-            assert repr(information_dimension_profile(rebuilt)) == repr(
-                information_dimension_profile(profile)
-            ), n
-
+            for k, mass, log2_mass in zip(profile.cards, profile.masses, profile.log2_masses):
+                num, den = _rational_mass(name, n, k)
+                expected = 0.0 if num == den else math.log2(num) - math.log2(den)
+                assert repr(mass) == repr(num / den), (n, k)
+                assert repr(log2_mass) == repr(expected), (n, k)
+                if mass >= sys.float_info.min:
+                    assert math.isclose(
+                        mass, 2.0 ** log2_mass, rel_tol=SYMMETRY_TOLERANCE, abs_tol=0.0
+                    ), (n, k)
 
 def _rational_mass(name: str, n: int, k: int) -> tuple[int, int]:
     if name == "vacuous":
