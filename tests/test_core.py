@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from evidim import (
     NotCardinalitySymmetricError,
     PartialLayerError,
     ProbabilityDistribution,
+    ProfileRow,
     Subset,
     UnknownLabelError,
     deng_entropy,
@@ -371,18 +373,41 @@ class TestProfiles:
             CardinalityProfile.from_counts(200, {100: (2**150, 2.0**1000)})
 
     @pytest.mark.parametrize(
-        "rows, message",
+        "rows, error, message",
         [
-            ({1: (2.0, 0.5)}, "set count 2.0 .* not an int"),
-            ({1: (3, 1 / 3)}, r"exceed C\(2,1\)"),
-            ({1: (-1, 0.5), 2: (1, 1.0)}, "positive set counts"),
-            ({3: (1, 1.0)}, r"cardinality 3 outside 1\.\.2"),
-            ({2: (1, 1.0), "1": (1, 1.0)}, "cardinality '1' is not an int"),
+            ({1: (2.0, 0.5)}, EvidenceError, "set count 2.0 .* not an int"),
+            ({1: (3, 1 / 3)}, EvidenceError, r"exceed C\(2,1\)"),
+            ({1: (-1, 0.5), 2: (1, 1.0)}, EvidenceError, "positive set counts"),
+            ({1: (2, 0.5), 2: (1, 0.0)}, NegativeMassError, "strictly positive"),
+            ({1: (2, 0.25), 2: (1, 0.25)}, NonUnitTotalError, "sum to 0.75"),
+            ({3: (1, 1.0)}, EvidenceError, r"cardinality 3 outside 1\.\.2"),
+            ({2: (1, 1.0), "1": (1, 1.0)}, EvidenceError, "cardinality '1' is not an int"),
         ],
     )
-    def test_constructor_reaches_every_column_check(self, rows, message):
-        with pytest.raises(EvidenceError, match=message):
+    def test_constructor_reaches_every_column_check(self, rows, error, message):
+        with pytest.raises(error, match=message):
             CardinalityProfile.from_counts(2, rows)
+
+    def test_row_constructor_is_gone(self):
+        # from_counts and the private _from_columns are the only ways in
+        with pytest.raises(TypeError):
+            CardinalityProfile(2, ((2, ProfileRow(1, 1.0, 0.0)),))
+        for name in ("from_rows", "_set_columns"):
+            assert not hasattr(CardinalityProfile, name)
+        for name in ("from_mass", "from_ratio"):
+            assert not hasattr(ProfileRow, name)
+
+    def test_row_mass_must_match_its_log2(self):
+        # the kernel takes the split scale from each mass and the entropy from
+        # its log2 mass; from_counts derives the one from the other, down to
+        # subnormal masses, so the two describe the explicit mass function
+        for tiny in (0.25, 1e-300, sys.float_info.min, 5e-324):
+            profile = CardinalityProfile.from_counts(2, {1: (2, tiny), 2: (1, 1 - 2 * tiny)})
+            assert profile.log2_masses == (math.log2(tiny), math.log2(1 - 2 * tiny))
+            compressed = information_dimension_profile(profile)
+            explicit = information_dimension(profile.to_mass())
+            assert compressed.dimension == pytest.approx(explicit.dimension, abs=1e-12), tiny
+            assert compressed.dimension <= math.log2(3)
 
     def test_from_counts_sorts_layers(self):
         profile = CardinalityProfile.from_counts(2, {2: (1, 0.5), 1: (2, 0.25)})
