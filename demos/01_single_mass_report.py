@@ -4,7 +4,7 @@ Build a two-element frame, put 5/6 of the mass on one outcome and the
 remaining 1/6 on "either outcome", and read off the three numbers that
 make up a report: Deng entropy, the split scale, and their ratio.
 """
-from evidim import Frame, MassFunction, deng_entropy, information_dimension, mass_to_json, split_scale
+from evidim import Frame, MassFunction, information_dimension, mass_to_json
 
 frame = Frame(("w1", "w2"))
 mass = MassFunction.from_assignments(
@@ -21,10 +21,9 @@ for subset, value in mass.focal:
 
 # The entropy credits the pair {w1, w2} with its 2^2 - 1 = 3 nonempty
 # sub-possibilities, so it exceeds the Shannon entropy of (5/6, 1/6).
-print(f"\nDeng entropy      : {deng_entropy(mass):.4f} bits")
-print(f"split scale       : {split_scale(mass):.4f} bits")
-
 report = information_dimension(mass)
+print(f"\nDeng entropy      : {report.entropy_bits:.4f} bits")
+print(f"split scale       : {report.split_scale_bits:.4f} bits")
 print(f"dimension         : {report.dimension:.4f}  (entropy / split scale)")
 print(f"degenerate        : {report.degenerate}")
 

@@ -9,11 +9,9 @@ from evidim import (
     Frame,
     MassFunction,
     ProbabilityDistribution,
-    deng_entropy,
     information_dimension,
     information_dimension_profile,
     probability_dimension,
-    shannon_entropy,
     vacuous,
 )
 
@@ -29,11 +27,10 @@ mass = MassFunction.from_assignments(
 print(f"Bayesian?         : {mass.is_bayesian()}")
 
 dist = mass.to_probability()
-print(f"Deng entropy      : {deng_entropy(mass):.6f} bits")
-print(f"Shannon entropy   : {shannon_entropy(dist):.6f} bits  (identical)")
-
 via_mass = information_dimension(mass)
 via_dist = probability_dimension(dist)
+print(f"Deng entropy      : {via_mass.entropy_bits:.6f} bits")
+print(f"Shannon entropy   : {via_dist.entropy_bits:.6f} bits  (identical)")
 print(f"dimension (mass)  : {via_mass.dimension:.6f}")
 print(f"dimension (dist)  : {via_dist.dimension:.6f}  (identical)")
 

@@ -119,9 +119,6 @@ class Frame:
     def size(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self._mask((label,)).bit_length() - 1
-
     def subset(self, labels: Iterable[str]) -> Subset:
         """Subset from labels; duplicates collapse, empty input is rejected."""
         return Subset(self, self._mask(labels))
@@ -352,6 +349,11 @@ class CardinalityProfile:
         that :func:`_as_mass` accepts; a layer with a zero count is dropped,
         and a zero mass on any other layer is an error.
         """
+        if not isinstance(rows, Mapping):
+            raise EvidenceError(
+                "profile rows must map cardinality to (set count, mass), "
+                f"got a {type(rows).__name__}"
+            )
         layers = []
         for card, row in rows.items():
             if type(card) is not int:
@@ -391,10 +393,7 @@ class CardinalityProfile:
         ``1 <= k <= N`` and a count in ``1..C(N, k)``.  Last, the masses
         must sum to one.
         """
-        if type(frame_size) is not int:
-            raise EvidenceError(f"frame size {frame_size!r} is not an int")
-        if frame_size < 1:
-            raise EvidenceError("frame size must be at least 1")
+        _check_frame_size(frame_size)
         # (k, C(N, k)) for ascending k; advanced to each row's cardinality
         layers = enumerate(_binomials(frame_size))
         log2 = math.log2
@@ -478,6 +477,15 @@ class CardinalityProfile:
                 )
             pairs += zip(map(sum, combinations(bits, card)), repeat(mass))
         return MassFunction._from_masks(frame, pairs)
+
+
+def _check_frame_size(n: int):
+    """The one rule on a frame size given as a bare count: an int (not a
+    bool) of at least 1."""
+    if type(n) is not int:
+        raise EvidenceError(f"frame size {n!r} is not an int")
+    if n < 1:
+        raise EvidenceError("frame size must be at least 1")
 
 
 def _binomials(n: int) -> Iterator[int]:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import CardinalityProfile, EvidenceError, FrameTooLargeError, _binomials
+from .core import (
+    CardinalityProfile, EvidenceError, FrameTooLargeError, _binomials, _check_frame_size
+)
 
 PROFILE_LIMIT = 1024
 
@@ -83,10 +85,7 @@ def family_profile(name: str, n: int) -> CardinalityProfile:
 
 
 def _check_size(n: int, limit: int | None = None):
-    if type(n) is not int:
-        raise EvidenceError(f"frame size {n!r} is not an int")
-    if n < 1:
-        raise EvidenceError("frame size must be at least 1")
+    _check_frame_size(n)
     if limit is not None and n > limit:
         raise FrameTooLargeError(f"family profiles are capped at {limit} elements, got {n}")
 

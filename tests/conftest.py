@@ -1,12 +1,17 @@
 """Shared fixtures and random-object helpers for the test suite."""
 from __future__ import annotations
 
+import io
+import json
 import math
 import random
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from evidim import Frame, MassFunction, Subset
+from evidim import Frame, MassFunction, Subset, mass_to_json
+from evidim.cli import main
 
 
 @pytest.fixture
@@ -58,3 +63,16 @@ def permute_mass(mass: MassFunction, order: list[int]) -> MassFunction:
                 mask |= 1 << order[i]
         assignments.append((Subset(frame, mask), m))
     return MassFunction.from_assignments(frame, assignments)
+
+
+def compute_by_base(mass: MassFunction, path: Path) -> dict[str, dict]:
+    """``evidim compute <path> --base b --format json`` for b in 2, e and
+    10, with ``mass`` written to ``path``: each base's parsed report."""
+    path.write_text(mass_to_json(mass), encoding="utf-8")
+    reports = {}
+    for base in ("2", "e", "10"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["compute", str(path), "--base", base, "--format", "json"]) == 0
+        reports[base] = json.loads(out.getvalue())
+    return reports

@@ -14,14 +14,13 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import permute_mass, random_mass
+from conftest import compute_by_base, permute_mass, random_mass
 from evidim import (
     Frame,
     MassFunction,
     ProbabilityDistribution,
     brute_force_report,
     compare_reports,
-    deng_entropy,
     family_profile,
     information_dimension,
     information_dimension_profile,
@@ -29,7 +28,6 @@ from evidim import (
     probability_dimension,
     render_table,
     run_convergence,
-    split_scale,
     vacuous,
 )
 
@@ -201,18 +199,20 @@ def test_criterion_6_oracle_equivalence():
         assert time.perf_counter() - start < 30.0
 
 
-def test_criterion_7_property_suite():
+def test_criterion_7_property_suite(tmp_path):
     with criterion(7, "base invariance, degenerations, permutation symmetry, bounds, limits"):
         rng = random.Random(2718)
 
-        # dimension does not depend on the logarithm base
+        # `evidim compute --base` rescales entropy and split scale alike, so
+        # every base prints the library's dimension
         for _ in range(50):
             mass = random_mass(rng, rng.randint(2, 6))
             report = information_dimension(mass)
             if report.degenerate:
                 continue
-            for base in (2.0, math.e, 10.0):
-                ratio = deng_entropy(mass, base) / split_scale(mass, base)
+            for fields in compute_by_base(mass, tmp_path / "mass.json").values():
+                assert fields["dimension"] == report.dimension
+                ratio = fields["entropy_bits"] / fields["split_scale_bits"]
                 assert abs(ratio - report.dimension) <= 1e-12
 
         # Bayesian mass functions behave exactly like their distribution
@@ -226,7 +226,7 @@ def test_criterion_7_property_suite():
                 [(frame.singleton(l), w / total) for l, w in zip(frame.labels, weights)],
             )
             dist = mass.to_probability()
-            assert abs(deng_entropy(mass) - (-math.fsum(
+            assert abs(information_dimension(mass).entropy_bits - (-math.fsum(
                 p * math.log2(p) for p in dist.probabilities
             ))) <= 1e-12
             assert abs(
@@ -241,18 +241,16 @@ def test_criterion_7_property_suite():
             order = list(range(n))
             rng.shuffle(order)
             shuffled = permute_mass(mass, order)
-            assert abs(deng_entropy(shuffled) - deng_entropy(mass)) <= 1e-12
-            assert abs(
-                information_dimension(shuffled).dimension
-                - information_dimension(mass).dimension
-            ) <= 1e-12
+            before, after = information_dimension(mass), information_dimension(shuffled)
+            assert abs(after.entropy_bits - before.entropy_bits) <= 1e-12
+            assert abs(after.dimension - before.dimension) <= 1e-12
 
         # no assignment beats the closed-form entropy maximum
         for n in range(1, 7):
             bound = max_deng_entropy(n)
             for _ in range(200):
                 mass = random_mass(rng, n, full_powerset=True)
-                assert deng_entropy(mass) <= bound + 1e-9
+                assert information_dimension(mass).entropy_bits <= bound + 1e-9
 
         # total ignorance on N elements == uniform over its 2^N - 1 splits
         for n in range(2, 17):

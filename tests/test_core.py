@@ -35,7 +35,6 @@ from evidim import (
     ProfileRow,
     Subset,
     UnknownLabelError,
-    deng_entropy,
     information_dimension,
     information_dimension_profile,
     mass_from_json,
@@ -269,7 +268,7 @@ class TestProfiles:
         mass = max_deng(2).to_mass(Frame(("a", "b")))
         got = {subset.members: m for subset, m in mass.focal}
         assert got == {("a",): 1 / 5, ("b",): 1 / 5, ("a", "b"): 3 / 5}
-        assert deng_entropy(mass) == pytest.approx(math.log2(5), abs=1e-12)
+        assert information_dimension(mass).entropy_bits == pytest.approx(math.log2(5), abs=1e-12)
 
     def test_expansion_of_vacuous(self):
         mass = vacuous(3).to_mass()
@@ -382,6 +381,7 @@ class TestProfiles:
             ({1: (2, 0.25), 2: (1, 0.25)}, NonUnitTotalError, "sum to 0.75"),
             ({3: (1, 1.0)}, EvidenceError, r"cardinality 3 outside 1\.\.2"),
             ({2: (1, 1.0), "1": (1, 1.0)}, EvidenceError, "cardinality '1' is not an int"),
+            ([(1, (1, 1.0))], EvidenceError, "got a list"),
         ],
     )
     def test_constructor_reaches_every_column_check(self, rows, error, message):
@@ -512,9 +512,9 @@ class TestPermutationInvariance:
         order = list(range(n))
         rng.shuffle(order)
         shuffled = permute_mass(mass, order)
-        assert deng_entropy(shuffled) == pytest.approx(deng_entropy(mass), abs=1e-12)
         a = information_dimension(mass)
         b = information_dimension(shuffled)
+        assert b.entropy_bits == pytest.approx(a.entropy_bits, abs=1e-12)
         assert b.dimension == pytest.approx(a.dimension, abs=1e-12)
         assert b.degenerate == a.degenerate
 

@@ -3,25 +3,22 @@ from __future__ import annotations
 
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mass
+from conftest import compute_by_base, random_mass
 from evidim import (
-    BASE_10,
-    BASE_E,
     Frame,
     MassFunction,
     ProbabilityDistribution,
-    deng_entropy,
     information_dimension,
     information_dimension_profile,
     max_deng,
     probability_dimension,
-    split_scale,
-    split_scale_profile,
     uniform_powerset,
     vacuous,
 )
@@ -35,24 +32,31 @@ def singleton_mass(frame: Frame, label: str) -> MassFunction:
 
 class TestSplitScale:
     def test_skewed_pair(self, skewed_pair_mass):
-        assert split_scale(skewed_pair_mass) == pytest.approx(1.1381, abs=FOUR_DP)
+        report = information_dimension(skewed_pair_mass)
+        assert report.split_scale_bits == pytest.approx(1.1381, abs=FOUR_DP)
 
     def test_uniform_powerset_two_expanded(self):
-        assert split_scale(uniform_powerset(2).to_mass()) == pytest.approx(1.7834, abs=FOUR_DP)
+        report = information_dimension(uniform_powerset(2).to_mass())
+        assert report.split_scale_bits == pytest.approx(1.7834, abs=FOUR_DP)
 
     def test_single_singleton_is_zero(self):
-        assert split_scale(singleton_mass(Frame(("a",)), "a")) == 0.0
+        report = information_dimension(singleton_mass(Frame(("a",)), "a"))
+        assert report.split_scale_bits == 0.0
 
     def test_profile_values(self):
-        assert split_scale_profile(max_deng(2)) == pytest.approx(1.9757, abs=FOUR_DP)
-        assert split_scale_profile(vacuous(4)) == pytest.approx(3.9069, abs=FOUR_DP)
-        assert split_scale_profile(uniform_powerset(25)) == pytest.approx(25.0000, abs=FOUR_DP)
+        for profile, expected in (
+            (max_deng(2), 1.9757),
+            (vacuous(4), 3.9069),
+            (uniform_powerset(25), 25.0000),
+        ):
+            report = information_dimension_profile(profile)
+            assert report.split_scale_bits == pytest.approx(expected, abs=FOUR_DP)
 
     def test_profile_matches_explicit(self):
         for n in range(1, 13):
             profile = uniform_powerset(n)
-            assert split_scale_profile(profile) == pytest.approx(
-                split_scale(profile.to_mass()), abs=1e-10
+            assert information_dimension_profile(profile).split_scale_bits == pytest.approx(
+                information_dimension(profile.to_mass()).split_scale_bits, abs=1e-10
             )
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -60,7 +64,7 @@ class TestSplitScale:
     def test_nonnegative_and_zero_only_when_degenerate(self, seed):
         rng = random.Random(seed)
         mass = random_mass(rng, rng.randint(1, 6))
-        value = split_scale(mass)
+        value = information_dimension(mass).split_scale_bits
         degenerate = len(mass.focal) == 1 and mass.focal[0][0].cardinality == 1
         if degenerate:
             assert value == 0.0
@@ -125,14 +129,18 @@ class TestInformationDimension:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_base_invariance(self, seed):
+        # the base lives in the CLI; the dimension it prints is the library's
         rng = random.Random(seed)
         mass = random_mass(rng, rng.randint(2, 6))
         report = information_dimension(mass)
         if report.degenerate:
             return
-        for base in (2.0, BASE_E, BASE_10):
-            ratio = deng_entropy(mass, base) / split_scale(mass, base)
-            assert ratio == pytest.approx(report.dimension, abs=1e-12)
+        with tempfile.TemporaryDirectory() as scratch:
+            printed = compute_by_base(mass, Path(scratch) / "mass.json")
+        for base, fields in printed.items():
+            assert fields["dimension"] == report.dimension, base
+            ratio = fields["entropy_bits"] / fields["split_scale_bits"]
+            assert ratio == pytest.approx(report.dimension, abs=1e-12), base
 
 
 class TestProbabilityDimension:

@@ -16,7 +16,6 @@ from evidim import (
     FrameTooLargeError,
     ProfileRow,
     UnknownFamilyError,
-    deng_entropy_profile,
     family_profile,
     information_dimension_profile,
     max_deng,
@@ -123,7 +122,7 @@ class TestExactness:
 
     def test_max_deng_attains_the_entropy_maximum(self):
         for n in range(1, 26):
-            attained = deng_entropy_profile(max_deng(n))
+            attained = information_dimension_profile(max_deng(n)).entropy_bits
             assert attained == pytest.approx(max_deng_entropy(n), abs=1e-10), n
 
 
