@@ -21,9 +21,9 @@ one public constructor, :meth:`CardinalityProfile.from_counts`, which
 checks its plain input and takes each mass's log2.  It and the families,
 whose columns come from exact ratios, build through one private one,
 ``CardinalityProfile._from_columns``, which validates every profile.  Set
-counts are exact ints, each checked against C(N, k) from one walk of the
-exact binomial recurrence :func:`_binomials` up the ascending rows; the
-families take their counts from the same helper.
+counts are exact ints, each checked against C(N, k) = C(N, N - k) from
+one walk of the exact binomial recurrence :func:`_binomials` up to
+min(k, N - k); the families take their counts from the same helper.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -394,16 +394,19 @@ class CardinalityProfile:
         must sum to one.
         """
         _check_frame_size(frame_size)
-        # (k, C(N, k)) for ascending k; advanced to each row's cardinality
-        layers = enumerate(_binomials(frame_size))
+        # C(N, k) = C(N, N - k): the recurrence walks only up to min(k, N - k),
+        # keeping each value it passes in ``binomials``
+        walk = _binomials(frame_size)
+        binomials: list[int] = []
         log2 = math.log2
         log2_counts = []
         for card, count in zip(cards, counts):
             if not 1 <= card <= frame_size:
                 raise EvidenceError(f"cardinality {card} outside 1..{frame_size}")
-            for k, full in layers:
-                if k == card:
-                    break
+            half = card if card + card <= frame_size else frame_size - card
+            while half >= len(binomials):
+                binomials.append(next(walk))
+            full = binomials[half]
             if count <= 0:
                 raise EvidenceError("profile rows must have positive set counts")
             if count > full:

@@ -366,6 +366,16 @@ class TestProfiles:
         with pytest.raises(EvidenceError, match=r"exceed C\(1000,500\)"):
             CardinalityProfile.from_counts(1000, {500: (full + 1, 1 / (full + 1))})
 
+    def test_count_bound_holds_above_the_middle_layer(self):
+        # C(10, 9) is read as C(10, 1)
+        assert CardinalityProfile.from_counts(10, {9: (10, 0.1)}).counts == (10,)
+        with pytest.raises(EvidenceError, match=r"11 sets of cardinality 9 exceed C\(10,9\)"):
+            CardinalityProfile.from_counts(10, {9: (11, 1 / 11)})
+
+    def test_vacuous_builds_on_a_large_frame(self):
+        profile = vacuous(20_000)
+        assert (profile.frame_size, profile.cards, profile.counts) == (20_000, (20_000,), (1,))
+
     def test_overflowing_total_is_not_one(self):
         # count * mass = 2^1150 overflows a double; OverflowError escaped
         with pytest.raises(NonUnitTotalError):
@@ -550,7 +560,79 @@ class TestValidationSoundness:
         assert abs(total - 1.0) <= 1e-9
 
 
+def _json_reference(text: str) -> MassFunction:
+    """mass_from_json's result for well-formed text, without its decoder hook."""
+    data = json.loads(text)
+    frame = Frame(tuple(data["frame"]))
+    return MassFunction.from_assignments(
+        frame, [(frame.subset(entry["elements"]), entry["mass"]) for entry in data["focal"]]
+    )
+
+
+_ENTRY = {"elements": ["a"], "mass": 1.0}
+
+
 class TestJsonFormat:
+    @given(data=arbitrary_assignments(), orders=st.lists(st.booleans(), min_size=32))
+    @settings(max_examples=150, deadline=None)
+    def test_both_key_orders_parse_like_the_reference(self, data, orders):
+        frame, assignments = data
+        focal = [
+            {"mass": mass, "elements": list(subset.members)} if mass_first
+            else {"elements": list(subset.members), "mass": mass}
+            for (subset, mass), mass_first in zip(assignments, orders)
+        ]
+        text = json.dumps({"frame": list(frame.labels), "focal": focal})
+        assert mass_from_json(text) == _json_reference(text)
+
+    def test_mass_before_elements(self):
+        text = '{"focal": [{"mass": 0.25, "elements": ["b"]}, ' \
+            '{"elements": ["a", "b"], "mass": 0.75}], "frame": ["a", "b"]}'
+        frame = Frame(("a", "b"))
+        assert mass_from_json(text) == MassFunction.from_assignments(
+            frame, {frame.singleton("b"): 0.25, frame.full_set(): 0.75}
+        )
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (json.dumps(_ENTRY), EvidenceError,
+             r"^the top-level JSON value needs exactly the keys \['focal', 'frame'\]: "
+             r"unknown \['elements', 'mass'\], missing \['focal', 'frame'\]$"),
+            ('{"mass": 1.0, "elements": ["a"]}', EvidenceError,
+             r"^the top-level JSON value needs exactly the keys"),
+            (json.dumps({"frame": _ENTRY, "focal": [_ENTRY]}), EvidenceError,
+             '^"frame" must be a list of labels$'),
+            (json.dumps({"frame": ["a"], "focal": _ENTRY}), EvidenceError,
+             '^"focal" must be a list of assignments$'),
+            # the two messages that show the parsed (elements, mass) tuple
+            (json.dumps({"frame": ["a"], "focal": [{"elements": [_ENTRY], "mass": 1.0}]}),
+             UnknownLabelError, r"^label \(\('a',\), 1\.0\) is not in the frame$"),
+            (json.dumps({"frame": ["a"], "focal": [{"elements": ["a"], "mass": _ENTRY}]}),
+             EvidenceError,
+             r"^mass \(\('a',\), 1\.0\) of Subset\(\{a\}\) is not a real number$"),
+            (json.dumps({"frame": ["a"], "focal": [{"elements": [["a"]], "mass": 1.0}]}),
+             UnknownLabelError, r"^label \['a'\] is not in the frame$"),
+            (json.dumps({"frame": ["a"], "focal": [{"elements": "a", "mass": 1.0}]}),
+             EvidenceError, '^"elements" must be a list of labels$'),
+            (json.dumps({"frame": ["a"], "focal": [{"mass": 1.0, "elements": "a"}]}),
+             EvidenceError, '^"elements" must be a list of labels$'),
+            ('{"frame": ["a"], "focal": [{"mass": 1.0, "mass": 1.0}]}', EvidenceError,
+             r"^repeated keys in a mass-function JSON object: \['mass'\]$"),
+            ('{"frame": ["a"], "focal": [{"mass": 1.0, "elements": ["a"], "mass": 1.0}]}',
+             EvidenceError, r"^repeated keys in a mass-function JSON object: \['mass'\]$"),
+        ],
+        ids=[
+            "top-level", "top-level-mass-first", "as-frame", "as-focal", "as-label",
+            "as-mass", "list-label", "elements-a-string", "elements-a-string-mass-first",
+            "mass-twice", "mass-twice-around-elements",
+        ],
+    )
+    def test_error_types_and_messages_around_entries(self, text, error, message):
+        with pytest.raises(error, match=message) as caught:
+            mass_from_json(text)
+        assert type(caught.value) is error
+
     def test_round_trip(self, skewed_pair_mass):
         text = mass_to_json(skewed_pair_mass)
         assert mass_from_json(text) == skewed_pair_mass
