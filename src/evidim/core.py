@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_EXPLICIT_FRAME = 64
@@ -439,9 +440,12 @@ class CardinalityProfile:
         ``inf`` when the sum is too large for a float."""
         if not self.cards:
             return 0.0
+        # largest first, as dimension._profile_rows orders them: math.fsum
+        # stays cheap when magnitudes fall, and its result is the same bits
+        # in any order
         try:
             return 2.0 ** _logsumexp2(
-                [lc + lm for lc, lm in zip(self._log2_counts, self.log2_masses)]
+                sorted(map(add, self._log2_counts, self.log2_masses), reverse=True)
             )
         except OverflowError:
             return math.inf

@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .core import (
     CardinalityProfile, MassFunction, ProbabilityDistribution, _check_frame_size, _logsumexp2
 )
 
-# (cardinality k, log2 of the focal-set count, log2 of the per-set mass,
-#  the per-set mass): one layer of focal sets that share one mass.
-Row = tuple[int, float, float, float]
+# (log2(2^k - 1) for the cardinality k, log2 of the focal-set count, log2
+#  of the per-set mass, the per-set mass): one layer of focal sets that share
+#  one mass.  log2(2^k - 1) is 0.0 exactly when k is 1.
+Row = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -44,15 +46,29 @@ class DimensionReport:
 
 
 def _mass_rows(mass: MassFunction) -> list[Row]:
-    return [(mask.bit_count(), 0.0, math.log2(m), m) for mask, m in zip(mass.masks, mass.masses)]
+    # log2(2^k - 1) once per cardinality the frame allows, not once per focal set
+    splits = [0.0] + [math.log2((1 << k) - 1) for k in range(1, mass.frame.size + 1)]
+    return [
+        (splits[mask.bit_count()], 0.0, math.log2(m), m)
+        for mask, m in zip(mass.masks, mass.masses)
+    ]
 
 
 def _profile_rows(profile: CardinalityProfile) -> list[Row]:
-    return list(zip(profile.cards, profile._log2_counts, profile.log2_masses, profile.masses))
+    # Largest layer weight 2^(log2 count + log2 mass) first: math.fsum keeps
+    # one partial per non-overlapping magnitude, and terms spanning hundreds
+    # of binary orders in ascending order keep its partials list growing.
+    # fsum is correctly rounded in any order, so the order changes no bit.
+    rows = sorted(
+        zip(map(add, profile._log2_counts, profile.log2_masses), profile.cards,
+            profile._log2_counts, profile.log2_masses, profile.masses),
+        reverse=True,
+    )
+    return [(math.log2((1 << k) - 1), lc, lm, m) for _, k, lc, lm, m in rows]
 
 
 def _probability_rows(dist: ProbabilityDistribution) -> list[Row]:
-    return [(1, 0.0, math.log2(p), p) for p in dist.probabilities]
+    return [(0.0, 0.0, math.log2(p), p) for p in dist.probabilities]
 
 
 def _bits(rows: list[Row]) -> tuple[float, float]:
@@ -62,16 +78,14 @@ def _bits(rows: list[Row]) -> tuple[float, float]:
     would overflow or underflow a double; the split scale is a log-sum of
     count * (2^k - 1)^mass terms, each kept as its log2.
     """
-    # log2(2^k - 1) once per cardinality, not once per focal set
-    splits = [0.0] + [math.log2((1 << k) - 1) for k in range(1, max(r[0] for r in rows) + 1)]
-    entropy = math.fsum([2.0 ** (lc + lm) * (splits[k] - lm) for k, lc, lm, _ in rows])
-    split = _logsumexp2([lc + m * splits[k] for k, lc, _, m in rows])
+    entropy = math.fsum([2.0 ** (lc + lm) * (s - lm) for s, lc, lm, _ in rows])
+    split = _logsumexp2([lc + m * s for s, lc, _, m in rows])
     return entropy, split
 
 
 def _report(rows: list[Row]) -> DimensionReport:
     # one focal set of cardinality 1 is the only split scale of exactly 0
-    if len(rows) == 1 and rows[0][:2] == (1, 0.0):
+    if len(rows) == 1 and rows[0][:2] == (0.0, 0.0):
         return DimensionReport(0.0, 0.0, 0.0, True)
     entropy, split = _bits(rows)
     return DimensionReport(entropy, split, entropy / split, False)

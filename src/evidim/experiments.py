@@ -3,8 +3,9 @@ table rendering.
 
 A sweep evaluates one family at every N in a range and records the
 (entropy, split scale, dimension) triple per row.  Output is
-deterministic: each row's sums run in ascending cardinality with exact
-summation.
+deterministic: each row's sums are exact (``math.fsum`` rounds correctly),
+so no order of the terms changes a bit; the profile path feeds them
+largest first, which keeps the exact sum cheap.
 """
 from __future__ import annotations
 

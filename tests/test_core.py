@@ -299,6 +299,27 @@ class TestProfiles:
         assert best_of_three(vacuous(n)) < dense
         assert best_of_three(uniform_bayesian(n)) < dense
 
+    def test_total_mass_sums_largest_first(self):
+        # math.fsum slows as its partials list grows, and the layer weights of
+        # max_deng(1024) span about 800 binary orders: summed smallest first,
+        # as stored, the weights alone cost more than total_mass, log2 terms,
+        # sort and shift included, when it sums them largest first
+        profile = max_deng(1024)
+        ascending = [
+            2.0 ** (math.log2(count) + log2_mass)
+            for count, log2_mass in zip(profile.counts, profile.log2_masses)
+        ]
+
+        def best_of_five(fn):
+            times = []
+            for _ in range(5):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best_of_five(profile.total_mass) < best_of_five(lambda: math.fsum(ascending))
+
     def test_partial_layer_rejected(self):
         profile = CardinalityProfile.from_counts(3, {1: (2, 0.5)})
         with pytest.raises(PartialLayerError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import random
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import compute_by_base, random_mass
 from evidim import (
+    CardinalityProfile,
     Frame,
     MassFunction,
     ProbabilityDistribution,
@@ -205,6 +207,81 @@ class TestLargeFrames:
             assert report.dimension == pytest.approx(
                 report.entropy_bits / report.split_scale_bits, abs=1e-12
             )
+
+
+    def test_one_layer_costs_its_layer_only(self):
+        # log2(2^k - 1) is taken for the cardinalities present, not for every
+        # k up to the largest: one layer on N = 200,000 evaluates faster than
+        # the 1024 layers of max_deng(1024)
+        def best_of_three(profile):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                information_dimension_profile(profile)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        wide = vacuous(200_000)
+        assert information_dimension_profile(wide).dimension == 1.0
+        assert best_of_three(wide) < best_of_three(max_deng(1024))
+
+
+@st.composite
+def sparse_profile_rows(draw) -> tuple[int, dict[int, tuple[int, float]]]:
+    """``(N, {k: (count, mass)})`` for N up to 1024: a few layers, each with
+    any count up to C(N, k) and a per-set mass anywhere from 2^-1000 to
+    1/count, plus one anchor layer whose mass brings the total to 1."""
+    n = draw(st.integers(min_value=1, max_value=1024))
+    cards = draw(st.lists(st.integers(min_value=1, max_value=n), min_size=1,
+                          max_size=min(n, 24), unique=True))
+    rows = {}
+    for card in cards[1:]:
+        count = draw(st.integers(min_value=1, max_value=math.comb(n, card)))
+        log2_mass = draw(st.floats(min_value=-1000.0, max_value=-math.log2(count)))
+        rows[card] = (count, 2.0 ** log2_mass)
+    others = math.fsum(count * mass for count, mass in rows.values())
+    if others > 0.5:
+        rows = {card: (count, mass * 0.5 / others) for card, (count, mass) in rows.items()}
+        others = math.fsum(count * mass for count, mass in rows.values())
+    anchor = draw(st.integers(min_value=1, max_value=math.comb(n, cards[0])))
+    rows[cards[0]] = (anchor, (1.0 - others) / anchor)
+    return n, rows
+
+
+def _ascending_sums(rows: dict[int, tuple[int, float]]) -> tuple[float, float, float]:
+    """(Deng entropy, split scale, total mass) by the kernel's formulas, each
+    an exact sum over the layers in ascending cardinality."""
+    layers = [
+        (math.log2((1 << card) - 1), math.log2(count), math.log2(mass), mass)
+        for card, (count, mass) in sorted(rows.items())
+    ]
+
+    def log2_sum(exponents):
+        top = max(exponents)
+        return top + math.log2(math.fsum([2.0 ** (v - top) for v in exponents]))
+
+    entropy = math.fsum([2.0 ** (lc + lm) * (s - lm) for s, lc, lm, _ in layers])
+    split = log2_sum([lc + m * s for s, lc, _, m in layers])
+    total = 2.0 ** log2_sum([lc + lm for _, lc, lm, _ in layers])
+    return entropy, split, total
+
+
+class TestSumOrder:
+    @given(case=sparse_profile_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_profile_sums_match_ascending_order_bit_for_bit(self, case):
+        # the profile path sums its terms largest first; math.fsum is
+        # correctly rounded, so the bits must be those of the stored order
+        n, rows = case
+        profile = CardinalityProfile.from_counts(n, rows)
+        entropy, split, total = _ascending_sums(rows)
+        assert profile.total_mass() == total
+        report = information_dimension_profile(profile)
+        if rows == {1: (1, 1.0)}:
+            assert report.degenerate
+            return
+        assert (report.entropy_bits, report.split_scale_bits) == (entropy, split)
+        assert report.dimension == entropy / split
 
 
 class TestLimitBehavior:
