@@ -9,7 +9,14 @@ is stored flat, as parallel ``masks`` and ``masses`` tuples sorted by mask;
 :meth:`Frame.subset`, error messages), never on the parse, expansion or
 kernel paths.  One private mask-level constructor,
 :meth:`MassFunction._from_masks`, owns the rules on masses, duplicate
-sets and the total; the masks it takes are nonempty by construction.
+sets and the total; it takes parallel ``masks`` and ``masses`` columns,
+and the masks are nonempty by construction.  One bulk check accepts the
+common case in a few C-level passes over the columns: every mass a plain
+float, none negative, NaN or infinite, and the masks distinct.  Any
+other input goes entry by entry through :func:`_as_mass`, the one rule
+on a mass, so errors and their order are those of a single pass.  Zero
+masses are dropped, the rest sorted by mask through one index sort, and
+their exact sum checked, a sum too large for a float reading as ``inf``.
 
 The :class:`CardinalityProfile` compressed form has no frame cap and
 carries a log-domain copy of each per-set mass so that very large frames
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -194,7 +201,7 @@ class ProbabilityDistribution:
             raise EvidenceError("a distribution needs at least one outcome")
         if not all(p > 0.0 for p in self.probabilities):
             raise NegativeMassError("probabilities must be strictly positive")
-        _check_unit_total(math.fsum(self.probabilities), "probabilities")
+        _check_unit_total(self.probabilities, "probabilities")
 
     @property
     def size(self) -> int:
@@ -231,31 +238,46 @@ class MassFunction:
         """
         if isinstance(assignments, Mapping):
             assignments = assignments.items()
-
-        def pairs():
+        masks: list[int] = []
+        masses: list = []
+        try:
             for subset, mass in assignments:
                 if subset.frame != frame:
                     raise EvidenceError("subset belongs to a different frame")
-                yield subset.mask, mass
-
-        return cls._from_masks(frame, pairs())
+                masks.append(subset.mask)
+                masses.append(mass)
+        except Exception as exc:
+            failure = exc
+        else:
+            return cls._from_masks(frame, masks, masses)
+        # one pass in entry order would have read the entries before the
+        # failing one first, so their errors come first
+        _checked_entries(frame, masks, masses)
+        raise failure
 
     @classmethod
-    def _from_masks(cls, frame: Frame, pairs: Iterable[tuple[int, object]]) -> MassFunction:
-        """The one validated construction, from ``(mask, mass)`` pairs whose
-        masks are nonempty and lie within ``frame``: masses :func:`_as_mass`
-        rejects and duplicate masks are errors, zero masses are dropped,
-        the rest sorted by mask, and the total checked."""
-        kept: dict[int, float] = {}
-        for mask, mass in pairs:
-            mass = _as_mass(mass, (frame, mask))
-            if mask in kept:
-                raise DuplicateSubsetError(f"duplicate assignment for {Subset(frame, mask)!r}")
-            kept[mask] = mass
-        masks = tuple(sorted(mask for mask, mass in kept.items() if mass > 0.0))
-        masses = tuple(kept[mask] for mask in masks)
-        _check_unit_total(math.fsum(masses), "focal masses")
-        return cls(frame, masks, masses)
+    def _from_masks(cls, frame: Frame, masks: list[int], masses: list) -> MassFunction:
+        """The one validated construction, from parallel ``masks`` and
+        ``masses`` columns whose masks are nonempty and lie within
+        ``frame``: masses :func:`_as_mass` rejects and duplicate masks are
+        errors, zero masses are dropped, the rest sorted by mask, and the
+        total checked.
+
+        The common case passes one bulk check (:func:`_plain_columns`);
+        any other input takes the per-entry loop
+        :func:`_checked_entries`, which raises the first error in entry
+        order.
+        """
+        if not _plain_columns(masks, masses):
+            kept = _checked_entries(frame, masks, masses)
+            masks, masses = list(kept), list(kept.values())
+        index = range(len(masks))
+        if 0.0 in masses:
+            index = compress(index, map((0.0).__lt__, masses))
+        order = sorted(index, key=masks.__getitem__)
+        masses = tuple(map(masses.__getitem__, order))
+        _check_unit_total(masses, "focal masses")
+        return cls(frame, tuple(map(masks.__getitem__, order)), masses)
 
     @property
     def focal(self) -> tuple[tuple[Subset, float], ...]:
@@ -422,7 +444,7 @@ class CardinalityProfile:
         object.__setattr__(profile, "masses", tuple(masses))
         object.__setattr__(profile, "log2_masses", tuple(log2_masses))
         object.__setattr__(profile, "_log2_counts", tuple(log2_counts))
-        _check_unit_total(profile.total_mass(), "profile masses")
+        _check_unit_total((profile.total_mass(),), "profile masses")
         return profile
 
     @property
@@ -440,7 +462,7 @@ class CardinalityProfile:
         ``inf`` when the sum is too large for a float."""
         if not self.cards:
             return 0.0
-        # largest first, as dimension._profile_rows orders them: math.fsum
+        # largest first, as dimension._profile_columns orders them: math.fsum
         # stays cheap when magnitudes fall, and its result is the same bits
         # in any order
         try:
@@ -474,7 +496,8 @@ class CardinalityProfile:
         # highest bit first, so each layer's masks come out descending,
         # a run the sort in _from_masks reverses in one pass
         bits = [1 << i for i in reversed(range(self.frame_size))]
-        pairs: list[tuple[int, float]] = []
+        masks: list[int] = []
+        masses: list[float] = []
         for card, count, mass in zip(self.cards, self.counts, self.masses):
             full = binomials[card]
             if count != full:
@@ -482,8 +505,9 @@ class CardinalityProfile:
                     f"cardinality {card} holds {count} of {full} subsets; "
                     "only full layers expand"
                 )
-            pairs += zip(map(sum, combinations(bits, card)), repeat(mass))
-        return MassFunction._from_masks(frame, pairs)
+            masks += map(sum, combinations(bits, card))
+            masses += repeat(mass, count)
+        return MassFunction._from_masks(frame, masks, masses)
 
 
 def _check_frame_size(n: int):
@@ -543,8 +567,42 @@ def _too_large(owner) -> EvidenceError:
     return EvidenceError(f"mass of {_name(owner)} is too large for a float")
 
 
-def _check_unit_total(total: float, what: str):
-    """Reject a mass total further than :data:`MASS_TOLERANCE` from 1."""
+def _plain_columns(masks: list[int], masses: list) -> bool:
+    """True when every mass is a plain float, none is negative, NaN or
+    infinite, the sum is finite and the masks are distinct: then
+    :func:`_checked_entries` would raise nothing and keep every mass as it
+    is.  False sends the columns through that loop."""
+    if set(map(type, masses)) != {float}:
+        return False
+    # a NaN or infinite mass, or a sum past the largest float, makes the sum
+    # infinite or NaN; min then sees finite masses only
+    return (
+        math.isfinite(sum(masses))
+        and min(masses) >= 0.0
+        and len(set(masks)) == len(masks)
+    )
+
+
+def _checked_entries(frame: Frame, masks: list[int], masses: list) -> dict[int, float]:
+    """Each mass as :func:`_as_mass` reads it, by mask, in entry order; the
+    first entry whose mass is rejected or whose mask repeats raises."""
+    kept: dict[int, float] = {}
+    for mask, mass in zip(masks, masses):
+        mass = _as_mass(mass, (frame, mask))
+        if mask in kept:
+            raise DuplicateSubsetError(f"duplicate assignment for {Subset(frame, mask)!r}")
+        kept[mask] = mass
+    return kept
+
+
+def _check_unit_total(terms: Iterable[float], what: str):
+    """Reject masses whose exact sum is further than
+    :data:`MASS_TOLERANCE` from 1; a sum too large for a float reads as
+    ``inf``."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
     if abs(total - 1.0) > MASS_TOLERANCE:
         raise NonUnitTotalError(f"{what} sum to {total!r}, expected 1")
 

@@ -13,24 +13,29 @@ The result is one :class:`DimensionReport` per input, with both sums in
 bits, from one constructor per input type: :func:`information_dimension`
 for a mass function, :func:`information_dimension_profile` for a
 cardinality profile and :func:`probability_dimension` for a probability
-distribution.  Each sum runs through one kernel, :func:`_bits`, over rows
-that this module alone builds and reads.  Another base is a display
-choice, one division the caller makes.
+distribution.  Each sum runs through one kernel, :func:`_bits`, over four
+parallel columns that this module alone builds and reads: an explicit
+mass function gives one entry per focal set, with a count column of 0.0,
+a profile one entry per cardinality layer and a distribution one entry
+per outcome.  No row object is built per entry.  Another base is a
+display choice, one division the caller makes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from operator import add
+from typing import Sequence
 
 from .core import (
     CardinalityProfile, MassFunction, ProbabilityDistribution, _check_frame_size, _logsumexp2
 )
 
-# (log2(2^k - 1) for the cardinality k, log2 of the focal-set count, log2
-#  of the per-set mass, the per-set mass): one layer of focal sets that share
-#  one mass.  log2(2^k - 1) is 0.0 exactly when k is 1.
-Row = tuple[float, float, float, float]
+# Every sum runs over four parallel columns, one entry per layer of focal
+# sets that share one mass: s, log2(2^k - 1) for the cardinality k (0.0
+# exactly when k is 1); lc, log2 of the focal-set count; lm, log2 of the
+# per-set mass; and m, the per-set mass.
+Columns = tuple[Sequence[float], Sequence[float], Sequence[float], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -45,49 +50,60 @@ class DimensionReport:
     degenerate: bool
 
 
-def _mass_rows(mass: MassFunction) -> list[Row]:
-    # log2(2^k - 1) once per cardinality the frame allows, not once per focal set
+def _mass_columns(mass: MassFunction) -> Columns:
+    # log2(2^k - 1) once per cardinality the frame allows, not once per
+    # focal set; each set is a layer of one, and 0.0 + x is exact, so the
+    # count column of 0.0 leaves every term as one set's term
     splits = [0.0] + [math.log2((1 << k) - 1) for k in range(1, mass.frame.size + 1)]
-    return [
-        (splits[mask.bit_count()], 0.0, math.log2(m), m)
-        for mask, m in zip(mass.masks, mass.masses)
-    ]
+    return (
+        [splits[mask.bit_count()] for mask in mass.masks],
+        [0.0] * len(mass.masks),
+        list(map(math.log2, mass.masses)),
+        mass.masses,
+    )
 
 
-def _profile_rows(profile: CardinalityProfile) -> list[Row]:
+def _profile_columns(profile: CardinalityProfile) -> Columns:
     # Largest layer weight 2^(log2 count + log2 mass) first: math.fsum keeps
     # one partial per non-overlapping magnitude, and terms spanning hundreds
     # of binary orders in ascending order keep its partials list growing.
     # fsum is correctly rounded in any order, so the order changes no bit.
-    rows = sorted(
+    _, cards, lc, lm, m = zip(*sorted(
         zip(map(add, profile._log2_counts, profile.log2_masses), profile.cards,
             profile._log2_counts, profile.log2_masses, profile.masses),
         reverse=True,
-    )
-    return [(math.log2((1 << k) - 1), lc, lm, m) for _, k, lc, lm, m in rows]
+    ))
+    # 2^k - 1 rounds to 2^k in a double once k > 53, so its log2 is k
+    # exactly: reading k skips building and converting a k-bit integer
+    return [float(k) if k > 53 else math.log2((1 << k) - 1) for k in cards], lc, lm, m
 
 
-def _probability_rows(dist: ProbabilityDistribution) -> list[Row]:
-    return [(0.0, 0.0, math.log2(p), p) for p in dist.probabilities]
+def _probability_columns(dist: ProbabilityDistribution) -> Columns:
+    zeros = [0.0] * dist.size
+    return zeros, zeros, list(map(math.log2, dist.probabilities)), dist.probabilities
 
 
-def _bits(rows: list[Row]) -> tuple[float, float]:
-    """(Deng entropy, split scale), both in bits, over nonempty ``rows``.
+def _bits(splits: Sequence[float], log2_counts: Sequence[float],
+          log2_masses: Sequence[float], masses: Sequence[float]) -> tuple[float, float]:
+    """(Deng entropy, split scale), both in bits, over nonempty columns.
 
-    Layer weights 2^(log2 count + log2 mass) stay finite where count * mass
-    would overflow or underflow a double; the split scale is a log-sum of
-    count * (2^k - 1)^mass terms, each kept as its log2.
+    Layer weights 2^(lc + lm) stay finite where count * mass would
+    overflow or underflow a double; the split scale is a log-sum of
+    count * (2^k - 1)^mass terms, each kept as its log2, lc + m * s.
     """
-    entropy = math.fsum([2.0 ** (lc + lm) * (s - lm) for s, lc, lm, _ in rows])
-    split = _logsumexp2([lc + m * s for s, lc, _, m in rows])
+    entropy = math.fsum([
+        2.0 ** (lc + lm) * (s - lm) for s, lc, lm in zip(splits, log2_counts, log2_masses)
+    ])
+    split = _logsumexp2([lc + m * s for s, lc, m in zip(splits, log2_counts, masses)])
     return entropy, split
 
 
-def _report(rows: list[Row]) -> DimensionReport:
+def _report(columns: Columns) -> DimensionReport:
+    s, lc, _, _ = columns
     # one focal set of cardinality 1 is the only split scale of exactly 0
-    if len(rows) == 1 and rows[0][:2] == (0.0, 0.0):
+    if len(s) == 1 and s[0] == 0.0 and lc[0] == 0.0:
         return DimensionReport(0.0, 0.0, 0.0, True)
-    entropy, split = _bits(rows)
+    entropy, split = _bits(*columns)
     return DimensionReport(entropy, split, entropy / split, False)
 
 
@@ -115,13 +131,13 @@ def information_dimension(mass: MassFunction) -> DimensionReport:
     mass function with split scale exactly 0) is detected from the focal
     structure rather than by comparing the denominator to zero.
     """
-    return _report(_mass_rows(mass))
+    return _report(_mass_columns(mass))
 
 
 def information_dimension_profile(profile: CardinalityProfile) -> DimensionReport:
     """Profile-evaluated dimension, grouped by cardinality so O(N) in the
     frame size; same contract as the explicit form."""
-    return _report(_profile_rows(profile))
+    return _report(_profile_columns(profile))
 
 
 def probability_dimension(dist: ProbabilityDistribution) -> DimensionReport:
@@ -131,4 +147,4 @@ def probability_dimension(dist: ProbabilityDistribution) -> DimensionReport:
     denominator collapses to log(N).  A single-outcome distribution is
     the degenerate 0/0 case.
     """
-    return _report(_probability_rows(dist))
+    return _report(_probability_columns(dist))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 from .core import EvidenceError, Frame, MassFunction
 
@@ -68,13 +69,15 @@ def mass_from_json(text: str) -> MassFunction:
     frame = Frame(tuple(data["frame"]))
     if not isinstance(data["focal"], list):
         raise EvidenceError('"focal" must be a list of assignments')
-    pairs = []
-    for entry in data["focal"]:
+    focal = data["focal"]
+    mask_of = frame._mask
+    masks = []
+    for entry in focal:
         if type(entry) is not tuple:  # each well-formed entry was decoded to a tuple
             _exact_keys(entry, _ENTRY_KEYS, "a focal entry")
             raise EvidenceError('"elements" must be a list of labels')
-        pairs.append((frame._mask(entry[0]), entry[1]))
-    return MassFunction._from_masks(frame, pairs)
+        masks.append(mask_of(entry[0]))
+    return MassFunction._from_masks(frame, masks, list(map(itemgetter(1), focal)))
 
 
 def mass_to_json(mass: MassFunction) -> str:
@@ -83,16 +86,34 @@ def mass_to_json(mass: MassFunction) -> str:
     The text is byte for byte ``json.dumps(payload, ensure_ascii=False,
     indent=2)``, written here around the C string encoder and ``repr`` of
     each mass, because ``indent`` sends ``json.dumps`` to its pure-Python
-    encoder.
+    encoder.  Each run of 8 frame labels (fewer in the last run) gets two
+    tables indexed by the byte of a mask over that run, each entry the
+    labels the byte selects, encoded and joined: one table for a run that
+    opens an entry's list, one with a leading separator for a run that
+    continues it.  An entry's labels then take one lookup per run, and
+    ``repr`` runs once per distinct mass.
     """
     labels = [encode_basestring(label) for label in mass.frame.labels]
+    tables = []
+    for start in range(0, len(labels), 8):
+        # entry b lists label start + i exactly when bit i of b is set
+        continuing = [""]
+        for label in labels[start:start + 8]:
+            continuing += [chosen + ",\n        " + label for chosen in continuing]
+        # an opening run drops the comma of its first separator
+        tables.append((start, [chosen[1:] for chosen in continuing], continuing))
+    masks = mass.masks
+    elements = [""] * len(masks)
+    for start, opening, continuing in tables:
+        elements = [
+            chosen + (continuing if chosen else opening)[mask >> start & 255]
+            for chosen, mask in zip(elements, masks)
+        ]
+    distinct = set(mass.masses)
+    reprs = dict(zip(distinct, map(repr, distinct)))
     entries = [
-        '{\n      "elements": [\n        '
-        + ",\n        ".join([label for i, label in enumerate(labels) if mask >> i & 1])
-        + '\n      ],\n      "mass": '
-        + repr(value)
-        + "\n    }"
-        for mask, value in zip(mass.masks, mass.masses)
+        f'{{\n      "elements": [{chosen}\n      ],\n      "mass": {reprs[value]}\n    }}'
+        for chosen, value in zip(elements, mass.masses)
     ]
     return (
         '{\n  "frame": [\n    '

@@ -180,6 +180,18 @@ class TestComputeErrors:
         assert code == 2
         assert "too large for a float" in err and "Traceback" not in err
 
+    def test_masses_whose_sum_overflows(self, tmp_path):
+        # each mass is a finite float; their sum escaped as a bare OverflowError
+        code, err = self.run_with_payload(
+            tmp_path,
+            {"frame": ["a", "b"], "focal": [
+                {"elements": ["a"], "mass": 1e308},
+                {"elements": ["b"], "mass": 1e308},
+            ]},
+        )
+        assert code == 2
+        assert "NonUnitTotalError: focal masses sum to inf" in err and "Traceback" not in err
+
     def test_repeated_keys(self, tmp_path):
         code, err = self.run_with_payload(
             tmp_path,

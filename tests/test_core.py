@@ -44,6 +44,7 @@ from evidim import (
     uniform_powerset,
     vacuous,
 )
+from evidim.core import _as_mass
 
 
 class TestFrame:
@@ -176,6 +177,99 @@ class TestMassConstruction:
         for subset in (other.subset(["x"]), reordered.subset(["w2"])):
             with pytest.raises(EvidenceError, match="different frame"):
                 MassFunction.from_assignments(two_frame, {subset: 1.0})
+
+    def test_errors_come_in_entry_order(self, two_frame):
+        # each entry is read in full before the next: a bad mass or a repeated
+        # subset is reported before a foreign subset or a malformed entry after it
+        w1 = two_frame.subset(["w1"])
+        foreign = Frame(("x", "y")).subset(["x"])
+        with pytest.raises(NegativeMassError, match=r"mass -1.0 of Subset\(\{w1\}\)"):
+            MassFunction.from_assignments(two_frame, [(w1, -1.0), (foreign, 1.0)])
+        with pytest.raises(EvidenceError, match="is not a real number"):
+            MassFunction.from_assignments(two_frame, [(w1, "1"), (foreign, 1.0)])
+        with pytest.raises(DuplicateSubsetError):
+            MassFunction.from_assignments(two_frame, [(w1, 0.5), (w1, 0.5), (foreign, 1.0)])
+        with pytest.raises(NegativeMassError):
+            MassFunction.from_assignments(two_frame, [(w1, -1.0), (w1,)])
+        with pytest.raises(EvidenceError, match="different frame"):
+            MassFunction.from_assignments(two_frame, [(foreign, 1.0), (w1, -1.0)])
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            MassFunction.from_assignments(two_frame, [(w1, 1.0), (w1,)])
+
+    def test_total_too_large_for_a_float_is_not_one(self, two_frame):
+        # each mass is a finite float; their exact sum overflowed math.fsum,
+        # which escaped as a bare OverflowError
+        masses = {two_frame.subset(["w1"]): 1e308, two_frame.subset(["w2"]): 1e308}
+        with pytest.raises(NonUnitTotalError, match="focal masses sum to inf, expected 1"):
+            MassFunction.from_assignments(two_frame, masses)
+        with pytest.raises(NonUnitTotalError, match="probabilities sum to inf, expected 1"):
+            ProbabilityDistribution((1e308, 1e308))
+
+
+# Values each mass rule handles differently: NaN, infinities, negatives, both
+# zeros, an int too large for a float, a bool, a string, an int, a Fraction,
+# and finite floats whose sum overflows.
+ODD_MASSES = (
+    math.nan, math.inf, -math.inf, -0.5, -0.0, 0.0, 10**400, True, "1", 1, 0,
+    Fraction(1, 4), 1e308, 5e-324,
+)
+
+
+@st.composite
+def mass_columns(draw) -> tuple[Frame, list[int], list]:
+    """A 4-element frame and parallel mask and mass columns: masks distinct
+    or not, and equal float masses summing to 1 with zero masses among
+    them, a few replaced by values from ODD_MASSES or other floats."""
+    frame = Frame.generic(4)
+    size = draw(st.integers(min_value=0, max_value=6))
+    zeros = draw(st.lists(st.sampled_from((0.0, -0.0)), max_size=2))
+    masks = draw(st.lists(st.integers(min_value=1, max_value=15), min_size=size + len(zeros),
+                          max_size=size + len(zeros), unique=draw(st.booleans())))
+    masses = [1.0 / size] * size + zeros if size else zeros
+    for i in draw(st.lists(st.integers(min_value=0, max_value=len(masks) - 1), max_size=3)
+                  if masks else st.just([])):
+        masses[i] = draw(st.one_of(st.sampled_from(ODD_MASSES), st.floats(0.0, 1.0)))
+    return frame, masks, masses
+
+
+def _per_entry_reference(frame: Frame, masks: list[int], masses: list) -> MassFunction:
+    """The per-entry construction the bulk check must agree with: each mass
+    through _as_mass in entry order, then zero masses dropped, the rest
+    sorted by mask and their exact sum checked (inf when it overflows)."""
+    kept = {}
+    for mask, mass in zip(masks, masses):
+        mass = _as_mass(mass, (frame, mask))
+        if mask in kept:
+            raise DuplicateSubsetError(f"duplicate assignment for {Subset(frame, mask)!r}")
+        kept[mask] = mass
+    focal = tuple(sorted(mask for mask, mass in kept.items() if mass > 0.0))
+    values = tuple(kept[mask] for mask in focal)
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    if abs(total - 1.0) > MASS_TOLERANCE:
+        raise NonUnitTotalError(f"focal masses sum to {total!r}, expected 1")
+    return MassFunction(frame, focal, values)
+
+
+def _outcome(build):
+    try:
+        mass = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return mass, [type(value) for value in mass.masses]
+
+
+class TestBulkCheck:
+    @given(columns=mass_columns())
+    @settings(max_examples=400, deadline=None)
+    def test_bulk_check_never_changes_an_outcome(self, columns):
+        frame, masks, masses = columns
+        expected = _outcome(lambda: _per_entry_reference(frame, masks, masses))
+        assert _outcome(lambda: MassFunction._from_masks(frame, masks, masses)) == expected
+        assignments = [(Subset(frame, mask), mass) for mask, mass in zip(masks, masses)]
+        assert _outcome(lambda: MassFunction.from_assignments(frame, assignments)) == expected
 
 
 class TestBayesian:
@@ -810,6 +904,19 @@ def _pinned_corpus():
     for n in (1, 2, 6):
         yield max_deng(n).to_mass()
         yield uniform_powerset(n).to_mass()
+    # frames on both sides of the 8-label runs mass_to_json tabulates, with
+    # sets that touch only a high run, and the top bit of a 64-label frame
+    for n in (7, 8, 9, 17, 64):
+        frame = Frame(tuple(f"\u00e9{i}" if i % 3 else f'"{i}' for i in range(n)))
+        full = (1 << n) - 1
+        top = 1 << (n - 1)
+        masks = sorted({1, top, top | 1, top | 1 << n // 2, full, full & ~0xFF,
+                        full & 0x5555555555555555} - {0})
+        total = sum(range(1, len(masks) + 1))
+        yield MassFunction.from_assignments(
+            frame, [(Subset(frame, mask), i / total) for i, mask in enumerate(masks, 1)]
+        )
+    yield max_deng(9).to_mass()
 
 
 class TestJsonBytes:

@@ -17,6 +17,7 @@ from evidim import (
     Frame,
     MassFunction,
     ProbabilityDistribution,
+    Subset,
     information_dimension,
     information_dimension_profile,
     max_deng,
@@ -248,6 +249,18 @@ def sparse_profile_rows(draw) -> tuple[int, dict[int, tuple[int, float]]]:
     return n, rows
 
 
+def _row_sums(rows: list[tuple[float, float, float, float]]) -> tuple[float, float]:
+    """(Deng entropy, split scale) by the kernel's formulas, row by row over
+    ``(log2(2^k - 1), log2 count, log2 mass, mass)`` rows."""
+    entropy = math.fsum([2.0 ** (lc + lm) * (s - lm) for s, lc, lm, _ in rows])
+    return entropy, _log2_sum([lc + m * s for s, lc, _, m in rows])
+
+
+def _log2_sum(exponents: list[float]) -> float:
+    top = max(exponents)
+    return top + math.log2(math.fsum([2.0 ** (v - top) for v in exponents]))
+
+
 def _ascending_sums(rows: dict[int, tuple[int, float]]) -> tuple[float, float, float]:
     """(Deng entropy, split scale, total mass) by the kernel's formulas, each
     an exact sum over the layers in ascending cardinality."""
@@ -255,15 +268,32 @@ def _ascending_sums(rows: dict[int, tuple[int, float]]) -> tuple[float, float, f
         (math.log2((1 << card) - 1), math.log2(count), math.log2(mass), mass)
         for card, (count, mass) in sorted(rows.items())
     ]
+    entropy, split = _row_sums(layers)
+    return entropy, split, 2.0 ** _log2_sum([lc + lm for _, lc, lm, _ in layers])
 
-    def log2_sum(exponents):
-        top = max(exponents)
-        return top + math.log2(math.fsum([2.0 ** (v - top) for v in exponents]))
 
-    entropy = math.fsum([2.0 ** (lc + lm) * (s - lm) for s, lc, lm, _ in layers])
-    split = log2_sum([lc + m * s for s, lc, _, m in layers])
-    total = 2.0 ** log2_sum([lc + lm for _, lc, lm, _ in layers])
-    return entropy, split, total
+@st.composite
+def spread_weights(draw, min_size: int, max_size: int) -> list[float]:
+    """``min_size`` to ``max_size`` positive weights summing to 1, spread
+    from 2^-1000 of the largest up to it."""
+    exponents = draw(st.lists(st.floats(min_value=-1000.0, max_value=0.0),
+                              min_size=min_size, max_size=max_size))
+    weights = [2.0 ** e for e in exponents]
+    total = math.fsum(weights)
+    return [w / total for w in weights]
+
+
+@st.composite
+def explicit_masses(draw) -> MassFunction:
+    """A mass function on up to 64 elements with masses from spread_weights."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
+                          min_size=1, max_size=40, unique=True))
+    weights = draw(spread_weights(len(masks), len(masks)))
+    frame = Frame.generic(n)
+    return MassFunction.from_assignments(
+        frame, [(Subset(frame, mask), w) for mask, w in zip(masks, weights)]
+    )
 
 
 class TestSumOrder:
@@ -280,6 +310,43 @@ class TestSumOrder:
         if rows == {1: (1, 1.0)}:
             assert report.degenerate
             return
+        assert (report.entropy_bits, report.split_scale_bits) == (entropy, split)
+        assert report.dimension == entropy / split
+
+    def test_split_term_of_every_cardinality_is_exact(self):
+        # one layer of one set of cardinality k has entropy and split scale
+        # log2(2^k - 1), whether or not 2^k - 1 fits a double exactly
+        for k in range(1, 1200):
+            report = information_dimension_profile(vacuous(k))
+            expected = math.log2((1 << k) - 1)
+            assert (report.entropy_bits, report.split_scale_bits) == (expected, expected)
+
+    @given(mass=explicit_masses())
+    @settings(max_examples=150, deadline=None)
+    def test_explicit_report_matches_the_row_formulas_bit_for_bit(self, mass):
+        # the kernel sums columns; one row per focal set, with a count of one,
+        # must give the same bits
+        report = information_dimension(mass)
+        if len(mass) == 1 and mass.masks[0].bit_count() == 1:
+            assert report.degenerate
+            return
+        rows = [
+            (math.log2((1 << mask.bit_count()) - 1), 0.0, math.log2(m), m)
+            for mask, m in zip(mass.masks, mass.masses)
+        ]
+        entropy, split = _row_sums(rows)
+        assert (report.entropy_bits, report.split_scale_bits) == (entropy, split)
+        assert report.dimension == entropy / split
+        assert not report.degenerate
+
+    @given(probabilities=spread_weights(1, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_probability_report_matches_the_row_formulas_bit_for_bit(self, probabilities):
+        report = probability_dimension(ProbabilityDistribution(tuple(probabilities)))
+        if len(probabilities) == 1:
+            assert report.degenerate
+            return
+        entropy, split = _row_sums([(0.0, 0.0, math.log2(p), p) for p in probabilities])
         assert (report.entropy_bits, report.split_scale_bits) == (entropy, split)
         assert report.dimension == entropy / split
 
