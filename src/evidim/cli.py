@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .dimension import DimensionReport, information_dimension
@@ -132,9 +131,9 @@ def _cmd_sweep(args) -> int:
         tol, window = float(args.detect_limit[0]), int(args.detect_limit[1])
         verdict = detect_limit(table, window, tol)
     scale = math.log2(_BASES[args.base])
-    display = replace(table, rows=tuple(
-        replace(row, entropy_bits=row.entropy_bits / scale,
-                split_scale_bits=row.split_scale_bits / scale)
+    display = table._replace(rows=tuple(
+        row._replace(entropy_bits=row.entropy_bits / scale,
+                     split_scale_bits=row.split_scale_bits / scale)
         for row in table.rows
     ))
     if args.plot_data:

@@ -33,15 +33,17 @@ one walk of the exact binomial recurrence :func:`_binomials` up to
 min(k, N - k); the families take their counts from the same helper.
 
 All types are immutable after construction and safe to share across
-threads.
+threads: ``__slots__`` classes on one private base, :class:`_Value`,
+whose listed fields give equality, hash and repr, and whose attributes
+cannot be assigned or deleted; :class:`ProfileRow` is a ``NamedTuple``.
+Importing the module loads no ``dataclasses``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations, compress, repeat
-from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add, attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 MAX_EXPLICIT_FRAME = 64
 DEFAULT_EXPANSION_LIMIT = 20
@@ -97,8 +99,48 @@ class PartialLayerError(EvidenceError):
     pass
 
 
-@dataclass(frozen=True)
-class Frame:
+class _Value:
+    """Immutable ``__slots__`` base: equality, hash and repr come from the
+    ``_fields`` a subclass lists, derived slots left out; assigning or
+    deleting an attribute raises AttributeError.  Constructors set slots
+    with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # one C-level getter of the compared fields: equality and hash run
+        # once per entry when Subsets key a dict
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        # a shared frame is compared once per entry of a mass function
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # pickle and copy save a slots instance as (None, {slot: value}) and
+        # would restore it through the __setattr__ above
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Frame(_Value):
     """Ordered universe of distinct outcome labels.
 
     Explicit subset operations use a 64-bit membership mask, so a frame
@@ -106,22 +148,26 @@ class Frame:
     operations work from a bare element count and accept larger sizes.
     """
 
+    __slots__ = ("labels", "_bits")
+    _fields = ("labels",)
     labels: tuple[str, ...]
-    _bits: dict[str, int] = field(init=False, repr=False, compare=False)
+    # each label's bit, built once; derived, so not compared
+    _bits: dict[str, int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels:
+    def __init__(self, labels: Iterable[str]):
+        labels = tuple(labels)
+        if not labels:
             raise EmptyFrameError("a frame needs at least one label")
-        if any(not isinstance(lab, str) or not lab for lab in self.labels):
+        if any(not isinstance(lab, str) or not lab for lab in labels):
             raise EvidenceError("frame labels must be nonempty strings")
-        if len(set(self.labels)) != len(self.labels):
-            raise DuplicateLabelError(f"frame labels are not distinct: {self.labels!r}")
-        if len(self.labels) > MAX_EXPLICIT_FRAME:
+        if len(set(labels)) != len(labels):
+            raise DuplicateLabelError(f"frame labels are not distinct: {labels!r}")
+        if len(labels) > MAX_EXPLICIT_FRAME:
             raise FrameTooLargeError(
-                f"explicit frames are capped at {MAX_EXPLICIT_FRAME} elements, got {len(self.labels)}"
+                f"explicit frames are capped at {MAX_EXPLICIT_FRAME} elements, got {len(labels)}"
             )
-        object.__setattr__(self, "_bits", {lab: 1 << i for i, lab in enumerate(self.labels)})
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_bits", {lab: 1 << i for i, lab in enumerate(labels)})
 
     @property
     def size(self) -> int:
@@ -160,18 +206,20 @@ class Frame:
         return Frame(tuple(f"e{i}" for i in range(1, size + 1)))
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(_Value):
     """Nonempty subset of a frame, stored as a membership bit mask."""
 
+    __slots__ = _fields = ("frame", "mask")
     frame: Frame
     mask: int
 
-    def __post_init__(self):
-        if self.mask <= 0:
+    def __init__(self, frame: Frame, mask: int):
+        if mask <= 0:
             raise EmptySubsetError("the empty set cannot be a focal element")
-        if self.mask >> self.frame.size:
+        if mask >> frame.size:
             raise EvidenceError("subset members fall outside the frame")
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def cardinality(self) -> int:
@@ -187,29 +235,27 @@ class Subset:
         return f"Subset({{{', '.join(self.members)}}})"
 
 
-@dataclass(frozen=True)
-class ProbabilityDistribution:
+class ProbabilityDistribution(_Value):
     """Strictly positive probabilities summing to one."""
 
+    __slots__ = _fields = ("probabilities",)
     probabilities: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "probabilities", tuple(_as_mass(p, "a probability") for p in self.probabilities)
-        )
-        if not self.probabilities:
+    def __init__(self, probabilities: Iterable[float]):
+        probabilities = tuple(_as_mass(p, "a probability") for p in probabilities)
+        if not probabilities:
             raise EvidenceError("a distribution needs at least one outcome")
-        if not all(p > 0.0 for p in self.probabilities):
+        if not all(p > 0.0 for p in probabilities):
             raise NegativeMassError("probabilities must be strictly positive")
-        _check_unit_total(self.probabilities, "probabilities")
+        _check_unit_total(probabilities, "probabilities")
+        object.__setattr__(self, "probabilities", probabilities)
 
     @property
     def size(self) -> int:
         return len(self.probabilities)
 
 
-@dataclass(frozen=True)
-class MassFunction:
+class MassFunction(_Value):
     """Map from focal subsets to strictly positive masses summing to one.
 
     Stored flat: ``masks[i]`` is a focal set's membership mask over
@@ -219,9 +265,15 @@ class MassFunction:
     validates.
     """
 
+    __slots__ = _fields = ("frame", "masks", "masses")
     frame: Frame
     masks: tuple[int, ...]
     masses: tuple[float, ...]
+
+    def __init__(self, frame: Frame, masks: tuple[int, ...], masses: tuple[float, ...]):
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "masses", masses)
 
     @classmethod
     def from_assignments(
@@ -326,8 +378,7 @@ class MassFunction:
         return CardinalityProfile.from_counts(self.frame.size, rows)
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     """One cardinality layer, as the :attr:`CardinalityProfile.rows` view
     shows it: how many focal sets, and the mass each carries.
 
@@ -340,8 +391,7 @@ class ProfileRow:
     log2_mass: float
 
 
-@dataclass(frozen=True, init=False)
-class CardinalityProfile:
+class CardinalityProfile(_Value):
     """Cardinality-symmetric mass function in compressed form.
 
     Stored flat, as parallel columns ascending in cardinality: layer ``i``
@@ -353,13 +403,15 @@ class CardinalityProfile:
     :meth:`from_counts`, which validates.
     """
 
+    _fields = ("frame_size", "cards", "counts", "masses", "log2_masses")
+    __slots__ = (*_fields, "_log2_counts")
     frame_size: int
     cards: tuple[int, ...]
     counts: tuple[int, ...]
     masses: tuple[float, ...]
     log2_masses: tuple[float, ...]
     # log2 of each count, taken once while validating; derived, so not compared
-    _log2_counts: tuple[float, ...] = field(repr=False, compare=False)
+    _log2_counts: tuple[float, ...]
 
     @classmethod
     def from_counts(

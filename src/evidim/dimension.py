@@ -23,9 +23,8 @@ display choice, one division the caller makes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     CardinalityProfile, MassFunction, ProbabilityDistribution, _check_frame_size, _logsumexp2
@@ -38,8 +37,7 @@ from .core import (
 Columns = tuple[Sequence[float], Sequence[float], Sequence[float], Sequence[float]]
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     """Deng entropy (Shannon entropy for a distribution) and split scale,
     both in bits, their ratio, and whether the 0/0 single-singleton case
     applied."""

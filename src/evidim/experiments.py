@@ -10,7 +10,7 @@ largest first, which keeps the exact sum cheap.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .core import EvidenceError
 from .dimension import information_dimension_profile
@@ -24,22 +24,19 @@ class InsufficientRowsError(EvidenceError):
     pass
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     entropy_bits: float
     split_scale_bits: float
     dimension: float
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(NamedTuple):
     family: str
     rows: tuple[ConvergenceRow, ...]
 
 
-@dataclass(frozen=True)
-class ConvergenceVerdict:
+class ConvergenceVerdict(NamedTuple):
     converged: bool
     limit_estimate: float
     achieved_at_n: int | None
@@ -129,13 +126,12 @@ def render_table(
     """
     if decimals not in DECIMALS:
         raise ValueError(f"decimals must be between {DECIMALS[0]} and {DECIMALS[-1]}")
-    rows = [(row.n, row.entropy_bits, row.split_scale_bits, row.dimension) for row in table.rows]
     if fmt == "json":
-        payload = {"family": table.family, "rows": [dict(zip(_HEADER, row)) for row in rows]}
+        payload = {"family": table.family, "rows": [dict(zip(_HEADER, row)) for row in table.rows]}
         if verdict is not None:
-            payload["verdict"] = asdict(verdict)
+            payload["verdict"] = verdict._asdict()
         return json.dumps(payload, indent=2) + "\n"
-    out = render_rows(_HEADER, rows, fmt, decimals)
+    out = render_rows(_HEADER, table.rows, fmt, decimals)
     if verdict is not None:
         word = "converged" if verdict.converged else "not-converged"
         out += f"{word} limit={verdict.limit_estimate:.{decimals}f}\n"
