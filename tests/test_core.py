@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,7 @@ from evidim import (
     uniform_powerset,
     vacuous,
 )
+from evidim import wire
 from evidim.core import _as_mass
 
 
@@ -687,6 +689,113 @@ def _json_reference(text: str) -> MassFunction:
 _ENTRY = {"elements": ["a"], "mass": 1.0}
 
 
+class _Pairs(list):
+    """A JSON object as its ``(key, value)`` pairs, so a key may repeat."""
+
+
+class _Raw(str):
+    """A JSON number written as is, such as ``1e400``."""
+
+
+def _dump(value) -> str:
+    if isinstance(value, _Pairs):
+        return "{" + ", ".join(f"{json.dumps(key)}: {_dump(item)}" for key, item in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_dump, value)) + "]"
+    return value if isinstance(value, _Raw) else json.dumps(value)
+
+
+def _entry(elements, mass, mass_first=False) -> _Pairs:
+    pairs = [("elements", elements), ("mass", mass)]
+    return _Pairs(pairs[::-1] if mass_first else pairs)
+
+
+# each defect maps an entry's (elements, mass) to its broken form; the
+# first set leaves it a mask with a plain float or int mass
+_PLAIN_DEFECTS = {
+    "int-mass": lambda elements, mass: (elements, int(mass > 0.5)),
+    "nan-mass": lambda elements, mass: (elements, math.nan),
+    "overflowing-mass": lambda elements, mass: (elements, _Raw("1e400")),
+    "negative-mass": lambda elements, mass: (elements, -mass),
+    "half-mass": lambda elements, mass: (elements, mass / 2),
+}
+_OTHER_DEFECTS = {
+    "repeated-label": lambda elements, mass: (elements + elements[:1], mass),
+    "unknown-label": lambda elements, mass: (elements + ["z"], mass),
+    "number-label": lambda elements, mass: ([1, *elements], mass),
+    "null-label": lambda elements, mass: (elements + [None], mass),
+    "list-label": lambda elements, mass: (elements + [elements[:1]], mass),
+    "object-label": lambda elements, mass: (elements + [_Pairs([("x", 1)])], mass),
+    "entry-label": lambda elements, mass: ([_entry(elements, mass)], mass),
+    "no-labels": lambda elements, mass: ([], mass),
+    "bool-mass": lambda elements, mass: (elements, True),
+    "string-mass": lambda elements, mass: (elements, "0.5"),
+    "null-mass": lambda elements, mass: (elements, None),
+    "entry-mass": lambda elements, mass: (elements, _entry(elements, mass)),
+    "list-mass": lambda elements, mass: (elements, [_entry(elements, mass)]),
+}
+_DEFECTS = {**_PLAIN_DEFECTS, **_OTHER_DEFECTS}
+
+
+@st.composite
+def wire_documents(draw):
+    """JSON text in or near the mass-function format, and whether the
+    mask decode must take it (no defect that sends it to the strict
+    path)."""
+    frame = draw(st.permutations("abcdef"[: draw(st.integers(1, 6))]))
+    masks = draw(
+        st.lists(st.integers(1, (1 << len(frame)) - 1), min_size=1, max_size=10, unique=True)
+    )
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(masks), max_size=len(masks)))
+    noisy = draw(st.booleans())
+    plain = True
+    focal, first = [], None
+    for mask, weight in zip(masks, weights):
+        elements = draw(st.permutations([lab for i, lab in enumerate(frame) if mask >> i & 1]))
+        first = first or elements
+        mass = weight / math.fsum(weights)
+        if noisy and draw(st.booleans()):
+            defect = draw(st.sampled_from(sorted(_DEFECTS)))
+            elements, mass = _DEFECTS[defect](elements, mass)
+            plain = plain and defect in _PLAIN_DEFECTS
+        entry = _entry(elements, mass, mass_first=draw(st.booleans()))
+        if noisy and not draw(st.integers(0, 15)):
+            entry.append(("mass", mass))
+        focal.append(entry)
+    if noisy and not draw(st.integers(0, 7)):
+        # the first entry's set again, its labels in reverse
+        focal.append(_entry(first[::-1], 0.5))
+    document = [("frame", frame), ("focal", focal)]
+    if draw(st.booleans()):
+        document.reverse()
+    if noisy and not draw(st.integers(0, 15)):
+        return _dump(focal[0]), False
+    return _dump(_Pairs(document)), plain
+
+
+def _parse_outcome(parse, text):
+    """What ``parse`` returns, or the type and message of what it raises."""
+    try:
+        return parse(text)
+    except (EvidenceError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _traced(call, *args):
+    """``call(*args)`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _past_mask_decode_min(text: str) -> str:
+    """``text`` with trailing whitespace, long enough that
+    ``mass_from_json`` decodes it to masks first."""
+    return text + " " * wire._MASK_DECODE_MIN
+
+
 class TestJsonFormat:
     @given(data=arbitrary_assignments(), orders=st.lists(st.booleans(), min_size=32))
     @settings(max_examples=150, deadline=None)
@@ -744,13 +853,96 @@ class TestJsonFormat:
         ],
     )
     def test_error_types_and_messages_around_entries(self, text, error, message):
-        with pytest.raises(error, match=message) as caught:
-            mass_from_json(text)
-        assert type(caught.value) is error
+        for parsed in (text, _past_mask_decode_min(text)):
+            with pytest.raises(error, match=message) as caught:
+                mass_from_json(parsed)
+            assert type(caught.value) is error
+
+    def test_nesting_near_the_recursion_limit_parses_as_the_strict_path(self):
+        # the mask decoder's own frames count toward the limit on some
+        # Pythons, so near it only the strict parse may get through; a short
+        # text goes to that parse from the same stack depth
+        limit = sys.getrecursionlimit()
+        for depth in range(limit // 2, limit):
+            nested = "[" * depth + json.dumps(_ENTRY) + "]" * depth
+            text = '{"frame": ["a"], "focal": [], "x": %s}' % nested
+            expected = _parse_outcome(mass_from_json, text)
+            assert _parse_outcome(mass_from_json, _past_mask_decode_min(text)) == expected
 
     def test_round_trip(self, skewed_pair_mass):
         text = mass_to_json(skewed_pair_mass)
         assert mass_from_json(text) == skewed_pair_mass
+
+    @given(document=wire_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_mask_decode_matches_the_strict_path(self, document):
+        text, plain = document
+        expected = _parse_outcome(wire._strict_mass_from_json, text)
+        decoded = _parse_outcome(wire._mask_decoded, text)
+        assert decoded == expected or (decoded is None and not plain)
+        assert _parse_outcome(mass_from_json, _past_mask_decode_min(text)) == expected
+        assert _parse_outcome(mass_from_json, text) == expected
+
+    def test_sparse_64_label_mass_first_seen_in_reverse(self):
+        # the first entry lists the whole frame backwards, so every label's
+        # first-seen bit differs from its frame bit, through all 8 tables
+        frame = Frame(tuple(f"l{i}" for i in range(64)))
+        masks = [(1 << 64) - 1, 1, 1 << 8, 1 << 63, 0xFF << 56, 0x5555555555555555,
+                 0x0123456789ABCDEF, 1 << 31 | 1 << 32]
+        masses = [i / 36 for i in range(1, 9)]
+        expected = MassFunction.from_assignments(
+            frame, [(Subset(frame, mask), mass) for mask, mass in zip(masks, masses)]
+        )
+        focal = [{"elements": list(Subset(frame, mask).members)[::-1], "mass": mass}
+                 for mask, mass in zip(masks, masses)]
+        text = json.dumps({"frame": list(frame.labels), "focal": focal})
+        assert wire._mask_decoded(text) == expected
+        assert mass_from_json(_past_mask_decode_min(text)) == expected
+
+    def test_mass_to_json_power_set_needs_no_renumbering(self, monkeypatch):
+        mass = max_deng(12).to_mass()
+        text = mass_to_json(mass)
+        assert len(text) >= wire._MASK_DECODE_MIN
+
+        def renumbered(masks, bits):
+            raise AssertionError("the labels were first seen in frame order")
+
+        monkeypatch.setattr(wire, "_renumbered", renumbered)
+        assert mass_from_json(text) == mass
+
+    def test_repeated_label_collapses_on_both_paths(self):
+        text = json.dumps({"frame": ["a", "b"], "focal": [{"elements": ["a", "a", "b"], "mass": 1.0}]})
+        frame = Frame(("a", "b"))
+        expected = MassFunction.from_assignments(frame, {frame.full_set(): 1.0})
+        assert wire._mask_decoded(text) is None
+        assert mass_from_json(text) == expected
+        assert mass_from_json(_past_mask_decode_min(text)) == expected
+
+    def test_power_set_parse_keeps_no_string_per_label(self):
+        # the JSON scanner makes a new str for every label in an array: a
+        # parse that kept them all peaked near 6.6x the text here
+        rng = random.Random(14)
+        labels = [f"e{i}" for i in range(1, 15)]
+        rng.shuffle(labels)
+        focal = []
+        for mask in range(1, 1 << 14):
+            elements = [lab for i, lab in enumerate(labels) if mask >> i & 1]
+            rng.shuffle(elements)
+            focal.append({"elements": elements, "mass": 1 / ((1 << 14) - 1)})
+        rng.shuffle(labels)
+        text = json.dumps({"frame": labels, "focal": focal})
+        mass, peak = _traced(mass_from_json, text)
+        assert len(mass) == (1 << 14) - 1
+        assert peak < 4 * len(text)
+
+    def test_labels_past_a_frame_cost_no_wider_masks(self):
+        # numbering stops at 64 labels: the 20,000th unknown label would
+        # otherwise take a 20,000-bit mask
+        focal = [{"elements": [f"x{i}"], "mass": 1 / 20_000} for i in range(20_000)]
+        text = json.dumps({"frame": ["a"], "focal": focal})
+        outcome, peak = _traced(_parse_outcome, mass_from_json, text)
+        assert outcome == (UnknownLabelError, "label 'x0' is not in the frame")
+        assert peak < 1.5 * _traced(_parse_outcome, wire._strict_mass_from_json, text)[1]
 
     def test_documented_example(self):
         text = json.dumps(
