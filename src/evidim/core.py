@@ -161,7 +161,7 @@ class Frame(_Value):
         if any(not isinstance(lab, str) or not lab for lab in labels):
             raise EvidenceError("frame labels must be nonempty strings")
         if len(set(labels)) != len(labels):
-            raise DuplicateLabelError(f"frame labels are not distinct: {labels!r}")
+            raise DuplicateLabelError(f"frame labels are not distinct: {_shown(labels)}")
         if len(labels) > MAX_EXPLICIT_FRAME:
             raise FrameTooLargeError(
                 f"explicit frames are capped at {MAX_EXPLICIT_FRAME} elements, got {len(labels)}"
@@ -188,7 +188,7 @@ class Frame(_Value):
             try:
                 mask |= bits[label]
             except (KeyError, TypeError):  # TypeError: an unhashable label
-                raise UnknownLabelError(f"label {label!r} is not in the frame") from None
+                raise UnknownLabelError(f"label {_shown(label)} is not in the frame") from None
         if not mask:
             raise EmptySubsetError("the empty set cannot be a focal element")
         return mask
@@ -432,15 +432,17 @@ class CardinalityProfile(_Value):
         layers = []
         for card, row in rows.items():
             if type(card) is not int:
-                raise EvidenceError(f"cardinality {card!r} is not an int")
+                raise EvidenceError(f"cardinality {_shown(card)} is not an int")
             try:
                 count, mass = row
             except (TypeError, ValueError):
                 raise EvidenceError(
-                    f"row {row!r} of cardinality {card} is not a (set count, mass) pair"
+                    f"row {_shown(row)} of cardinality {card} is not a (set count, mass) pair"
                 ) from None
             if type(count) is not int:
-                raise EvidenceError(f"set count {count!r} of cardinality {card} is not an int")
+                raise EvidenceError(
+                    f"set count {_shown(count)} of cardinality {card} is not an int"
+                )
             if count:
                 mass = _as_mass(mass, "a profile row")
                 if mass == 0.0:
@@ -566,7 +568,7 @@ def _check_frame_size(n: int):
     """The one rule on a frame size given as a bare count: an int (not a
     bool) of at least 1."""
     if type(n) is not int:
-        raise EvidenceError(f"frame size {n!r} is not an int")
+        raise EvidenceError(f"frame size {_shown(n)} is not an int")
     if n < 1:
         raise EvidenceError("frame size must be at least 1")
 
@@ -587,7 +589,7 @@ def _as_mass(value, owner) -> float:
     EvidenceError, and NaN or negative a NegativeMassError.  ``owner``
     names it in messages (see :func:`_name`)."""
     if isinstance(value, bool) or not (isinstance(value, (float, int)) or _is_real(value)):
-        raise EvidenceError(f"mass {value!r} of {_name(owner)} is not a real number")
+        raise EvidenceError(f"mass {_shown(value)} of {_name(owner)} is not a real number")
     try:
         mass = float(value)
     except OverflowError:
@@ -605,6 +607,19 @@ def _is_real(value) -> bool:
     from numbers import Real
 
     return isinstance(value, Real)
+
+
+def _shown(value) -> str:
+    """``repr`` of a value from the input, bounded for a message: strings
+    of up to 80 characters, and containers of up to six items two levels
+    deep, are shown whole."""
+    # imported on first use, like numbers in _is_real
+    from reprlib import Repr
+
+    shown = Repr()
+    shown.maxlevel = 2
+    shown.maxstring = shown.maxlong = shown.maxother = 82
+    return shown.repr(value)
 
 
 def _name(owner) -> str:

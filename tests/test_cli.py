@@ -214,6 +214,23 @@ class TestComputeErrors:
         assert code == 2
         assert "UnknownLabelError" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"frame": ["a"], "focal": [{"elements": ["a"], "mass": %s}]}'
+            % ("[" * 900 + "]" * 900),
+            {"frame": [f"l{i}" for i in range(20_000)] + ["l0"],
+             "focal": [{"elements": ["l0"], "mass": 1.0}]},
+            {"frame": ["a"], "focal": [{"elements": ["x" * 100_000], "mass": 1.0}]},
+        ],
+        ids=["nested-mass", "duplicate-label", "long-label"],
+    )
+    def test_echoed_values_are_bounded(self, tmp_path, payload):
+        # each message used to repeat the whole value, up to 189 KB
+        code, err = self.run_with_payload(tmp_path, payload)
+        assert code == 2
+        assert len(err) < 400 and "Traceback" not in err
+
     def test_missing_file(self, tmp_path):
         assert main(["compute", str(tmp_path / "absent.json")]) == 2
 

@@ -796,6 +796,21 @@ def _past_mask_decode_min(text: str) -> str:
     return text + " " * wire._MASK_DECODE_MIN
 
 
+def _shuffled_power_set_text() -> str:
+    """A full 14-label power set, the frame and each entry's labels
+    shuffled, so its masks are renumbered after the decode."""
+    rng = random.Random(14)
+    labels = [f"e{i}" for i in range(1, 15)]
+    rng.shuffle(labels)
+    focal = []
+    for mask in range(1, 1 << 14):
+        elements = [lab for i, lab in enumerate(labels) if mask >> i & 1]
+        rng.shuffle(elements)
+        focal.append({"elements": elements, "mass": 1 / ((1 << 14) - 1)})
+    rng.shuffle(labels)
+    return json.dumps({"frame": labels, "focal": focal})
+
+
 class TestJsonFormat:
     @given(data=arbitrary_assignments(), orders=st.lists(st.booleans(), min_size=32))
     @settings(max_examples=150, deadline=None)
@@ -829,6 +844,8 @@ class TestJsonFormat:
              '^"frame" must be a list of labels$'),
             (json.dumps({"frame": ["a"], "focal": _ENTRY}), EvidenceError,
              '^"focal" must be a list of assignments$'),
+            (json.dumps({"frame": ["a", _ENTRY], "focal": [_ENTRY]}), EvidenceError,
+             "^frame labels must be nonempty strings$"),
             # the two messages that show the parsed (elements, mass) tuple
             (json.dumps({"frame": ["a"], "focal": [{"elements": [_ENTRY], "mass": 1.0}]}),
              UnknownLabelError, r"^label \(\('a',\), 1\.0\) is not in the frame$"),
@@ -847,7 +864,7 @@ class TestJsonFormat:
              EvidenceError, r"^repeated keys in a mass-function JSON object: \['mass'\]$"),
         ],
         ids=[
-            "top-level", "top-level-mass-first", "as-frame", "as-focal", "as-label",
+            "top-level", "top-level-mass-first", "as-frame", "as-focal", "in-frame", "as-label",
             "as-mass", "list-label", "elements-a-string", "elements-a-string-mass-first",
             "mass-twice", "mass-twice-around-elements",
         ],
@@ -921,19 +938,19 @@ class TestJsonFormat:
     def test_power_set_parse_keeps_no_string_per_label(self):
         # the JSON scanner makes a new str for every label in an array: a
         # parse that kept them all peaked near 6.6x the text here
-        rng = random.Random(14)
-        labels = [f"e{i}" for i in range(1, 15)]
-        rng.shuffle(labels)
-        focal = []
-        for mask in range(1, 1 << 14):
-            elements = [lab for i, lab in enumerate(labels) if mask >> i & 1]
-            rng.shuffle(elements)
-            focal.append({"elements": elements, "mass": 1 / ((1 << 14) - 1)})
-        rng.shuffle(labels)
-        text = json.dumps({"frame": labels, "focal": focal})
+        text = _shuffled_power_set_text()
         mass, peak = _traced(mass_from_json, text)
         assert len(mass) == (1 << 14) - 1
         assert peak < 4 * len(text)
+
+    def test_power_set_parse_keeps_only_its_columns(self):
+        # each entry leaves its mask and mass in two columns and one shared
+        # sentinel in the focal list; a (mask, mass) tuple per entry, split
+        # into the columns after the decode, peaked near 2.4x the text here
+        text = _shuffled_power_set_text()
+        mass, peak = _traced(mass_from_json, text)
+        assert len(mass) == (1 << 14) - 1
+        assert peak < 2.1 * len(text)
 
     def test_labels_past_a_frame_cost_no_wider_masks(self):
         # numbering stops at 64 labels: the 20,000th unknown label would
@@ -1115,3 +1132,10 @@ class TestJsonBytes:
     def test_mass_to_json_matches_the_stdlib_encoder(self):
         for mass in _pinned_corpus():
             assert mass_to_json(mass) == _stdlib_json(mass)
+
+    def test_mass_to_json_makes_one_full_size_copy(self):
+        # the entries and the one text they are joined into; joining them
+        # between a head and a tail with + peaked near 4.2x the text here
+        mass = uniform_powerset(14).to_mass()
+        text, peak = _traced(mass_to_json, mass)
+        assert peak < 3 * len(text)
