@@ -161,7 +161,13 @@ class Frame(_Value):
         if any(not isinstance(lab, str) or not lab for lab in labels):
             raise EvidenceError("frame labels must be nonempty strings")
         if len(set(labels)) != len(labels):
-            raise DuplicateLabelError(f"frame labels are not distinct: {_shown(labels)}")
+            seen: set[str] = set()
+            repeated: dict[str, None] = {}  # in the order each first repeats
+            for lab in labels:
+                if lab in seen:
+                    repeated[lab] = None
+                seen.add(lab)
+            raise DuplicateLabelError(f"frame labels are not distinct: {_shown(list(repeated))}")
         if len(labels) > MAX_EXPLICIT_FRAME:
             raise FrameTooLargeError(
                 f"explicit frames are capped at {MAX_EXPLICIT_FRAME} elements, got {len(labels)}"
@@ -195,10 +201,6 @@ class Frame(_Value):
 
     def full_set(self) -> Subset:
         return Subset(self, (1 << self.size) - 1)
-
-    def all_subsets(self) -> Iterable[Subset]:
-        """All nonempty subsets, ascending by mask."""
-        return (Subset(self, mask) for mask in range(1, 1 << self.size))
 
     @staticmethod
     def generic(size: int) -> Frame:

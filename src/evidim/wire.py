@@ -6,7 +6,7 @@ Parsing is strict: unknown, missing and repeated keys and duplicate
 (order-insensitive) subsets are rejected, and each focal entry's labels
 are checked as it is read.
 
-A text of 64 KiB or more has each well-formed focal entry decoded
+Every text is first decoded with each well-formed focal entry turned
 straight into its bit mask: the decoder numbers labels in the order it
 first sees them, appends each entry's mask and mass to two columns and
 leaves one shared sentinel in the entry's place, so a label string lives
@@ -21,11 +21,13 @@ renumbered onto the frame's bits by per-run tables, a step skipped when
 the labels were first seen in frame order, as in :func:`mass_to_json`
 output.
 
-Any other text, and any input that does not decode to that form (an
-unknown, repeated or non-string label, an empty entry, a mass that is
-not a plain number), is parsed by the strict path: each entry becomes a
-plain ``(elements, mass)`` tuple whose labels :meth:`Frame._mask` looks
-up, so its errors, messages and their order are that path's.
+A text that does not decode to that form (an invalid document, or an
+entry with an unknown, repeated or non-string label, no labels, or a
+mass that is not a plain number) is parsed again by the strict path,
+which names the error: each entry becomes a plain dict whose keys are
+checked and whose labels :meth:`Frame._mask` looks up, so the errors,
+their messages and their order are that path's.  A valid entry that
+repeats a label is the one input it parses to a mass function.
 
 :func:`mass_to_json` builds one string per entry and joins them once,
 the head and the tail of the document riding on the first and the last
@@ -36,7 +38,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from json.encoder import encode_basestring
-from operator import itemgetter
 
 from .core import MAX_EXPLICIT_FRAME, EvidenceError, Frame, MassFunction
 
@@ -49,19 +50,6 @@ def _checked_object(pairs: list[tuple[str, object]]) -> dict:
         repeated = sorted(key for key, count in counts.items() if count > 1)
         raise EvidenceError(f"repeated keys in a mass-function JSON object: {repeated}")
     return data
-
-
-def _decode_labels(pairs: list[tuple[str, object]]) -> tuple | dict:
-    """The strict path's ``object_pairs_hook``: a JSON object whose keys
-    are exactly "elements" (a list) and "mass", in either order, becomes
-    a plain ``(tuple(labels), mass)`` tuple, any other a dict."""
-    if len(pairs) == 2:
-        (key, labels), (other, mass) = pairs
-        if key == "mass":
-            key, labels, other, mass = other, mass, key, labels
-        if key == "elements" and other == "mass" and type(labels) is list:
-            return tuple(labels), mass
-    return _checked_object(pairs)
 
 
 class _FirstSeen(dict):
@@ -102,11 +90,7 @@ def _renumbered(masks: list[int], bits: list[int]) -> list[int]:
 
 
 def _exact_keys(value, keys: frozenset, what: str):
-    """Reject ``value`` unless it is a JSON object with exactly ``keys``
-    (a decoded entry, a ``(labels, mass)`` tuple or :data:`_DECODED`, has
-    the entry keys)."""
-    if type(value) is tuple or value is _DECODED:
-        value = dict.fromkeys(_ENTRY_KEYS)
+    """Reject ``value`` unless it is a JSON object with exactly ``keys``."""
     if not isinstance(value, dict):
         raise EvidenceError(f"{what} must be an object")
     if value.keys() != keys:
@@ -131,26 +115,16 @@ def _frame_and_focal(data) -> tuple[Frame, list]:
     return frame, data["focal"]
 
 
-# Shorter texts take the strict path: they hold few label strings, and on
-# them the mask decode's numbering, checks and tables cost 15-50% more time
-# (in-process, random sparse files of 1 to 150 KB)
-_MASK_DECODE_MIN = 1 << 16
-
-
 def mass_from_json(text: str) -> MassFunction:
     """Parse the JSON mass-function format, strictly.
 
-    A text of at least :data:`_MASK_DECODE_MIN` characters is first
-    decoded to masks (:func:`_mask_decoded`); a shorter one, or one that
-    does not decode to plain masks and masses, is parsed entry by entry
-    (:func:`_strict_mass_from_json`).  Both give the same mass function,
-    or the same error.
+    The text is decoded to masks (:func:`_mask_decoded`); one that does
+    not decode to plain masks and masses is parsed entry by entry
+    (:func:`_strict_mass_from_json`), which gives the same mass function
+    or names the error.
     """
-    if len(text) >= _MASK_DECODE_MIN:
-        mass = _mask_decoded(text)
-        if mass is not None:
-            return mass
-    return _strict_mass_from_json(text)
+    mass = _mask_decoded(text)
+    return _strict_mass_from_json(text) if mass is None else mass
 
 
 def _mask_decoded(text: str) -> MassFunction | None:
@@ -195,6 +169,8 @@ def _mask_decoded(text: str) -> MassFunction | None:
     # count toward the recursion limit
     except (KeyError, TypeError, _NotAMask, RecursionError):
         return None
+    if data is _DECODED:  # a lone entry: the strict path names the missing keys
+        return None
     frame, focal = _frame_and_focal(data)
     entries_only = len(focal) == len(masks) and focal.count(_DECODED) == len(focal)
     del data, focal  # a sentinel per entry, freed before the renumbering
@@ -211,22 +187,22 @@ def _mask_decoded(text: str) -> MassFunction | None:
 
 
 def _strict_mass_from_json(text: str) -> MassFunction:
-    """Parse with each entry decoded to its label tuple and looked up
-    through :meth:`Frame._mask`, so the first defect in entry order
-    raises."""
+    """Parse with each entry kept as a dict, its keys checked and its
+    labels looked up through :meth:`Frame._mask`, so the first defect in
+    entry order raises."""
     try:
-        data = json.loads(text, object_pairs_hook=_decode_labels)
+        data = json.loads(text, object_pairs_hook=_checked_object)
     except RecursionError:
         raise EvidenceError("mass-function JSON is nested too deeply to parse") from None
     frame, focal = _frame_and_focal(data)
     mask_of = frame._mask
     masks = []
     for entry in focal:
-        if type(entry) is not tuple:  # each well-formed entry was decoded to a tuple
-            _exact_keys(entry, _ENTRY_KEYS, "a focal entry")
+        _exact_keys(entry, _ENTRY_KEYS, "a focal entry")
+        if not isinstance(entry["elements"], list):
             raise EvidenceError('"elements" must be a list of labels')
-        masks.append(mask_of(entry[0]))
-    return MassFunction._from_masks(frame, masks, list(map(itemgetter(1), focal)))
+        masks.append(mask_of(entry["elements"]))
+    return MassFunction._from_masks(frame, masks, [entry["mass"] for entry in focal])
 
 
 def mass_to_json(mass: MassFunction) -> str:

@@ -19,6 +19,7 @@ from evidim import (
     Frame,
     MassFunction,
     ProbabilityDistribution,
+    Subset,
     brute_force_report,
     compare_reports,
     family_profile,
@@ -264,7 +265,7 @@ def test_criterion_7_property_suite(tmp_path):
         # concentrating all mass on one singleton sends the dimension to 0
         frame = Frame.generic(3)
         target = frame.singleton("e1")
-        others = [s for s in frame.all_subsets() if s.mask != target.mask]
+        others = [Subset(frame, mask) for mask in range(1, 1 << frame.size) if mask != target.mask]
         dims = []
         for t in range(1, 13):
             a = 1.0 - 10.0**-t

@@ -62,6 +62,14 @@ class TestFrame:
         with pytest.raises(DuplicateLabelError):
             Frame(("a", "a"))
 
+    def test_duplicate_labels_are_named_in_the_order_they_repeat(self):
+        message = r"^frame labels are not distinct: \['b', 'a'\]$"
+        with pytest.raises(DuplicateLabelError, match=message):
+            Frame(("a", "b", "c", "b", "a", "b"))
+        # past the six labels a message shows, at the end of a long frame
+        with pytest.raises(DuplicateLabelError, match="'l19999'"):
+            Frame(tuple(f"l{i}" for i in range(20_000)) + ("l19999",))
+
     def test_empty_frame_rejected(self):
         with pytest.raises(EmptyFrameError):
             Frame(())
@@ -568,7 +576,7 @@ def layered_masses(draw):
     assignments = []
     for k, w in zip(cards, weights):
         share = w / total
-        for subset in frame.all_subsets():
+        for subset in (Subset(frame, mask) for mask in range(1, 1 << frame.size)):
             if subset.cardinality == k:
                 assignments.append((subset, share))
     return MassFunction.from_assignments(frame, assignments)
@@ -790,12 +798,6 @@ def _traced(call, *args):
         tracemalloc.stop()
 
 
-def _past_mask_decode_min(text: str) -> str:
-    """``text`` with trailing whitespace, long enough that
-    ``mass_from_json`` decodes it to masks first."""
-    return text + " " * wire._MASK_DECODE_MIN
-
-
 def _shuffled_power_set_text() -> str:
     """A full 14-label power set, the frame and each entry's labels
     shuffled, so its masks are renumbered after the decode."""
@@ -846,12 +848,14 @@ class TestJsonFormat:
              '^"focal" must be a list of assignments$'),
             (json.dumps({"frame": ["a", _ENTRY], "focal": [_ENTRY]}), EvidenceError,
              "^frame labels must be nonempty strings$"),
-            # the two messages that show the parsed (elements, mass) tuple
+            # an entry nested as a label or a mass is shown as it was written
             (json.dumps({"frame": ["a"], "focal": [{"elements": [_ENTRY], "mass": 1.0}]}),
-             UnknownLabelError, r"^label \(\('a',\), 1\.0\) is not in the frame$"),
+             UnknownLabelError,
+             r"^label \{'elements': \['a'\], 'mass': 1\.0\} is not in the frame$"),
             (json.dumps({"frame": ["a"], "focal": [{"elements": ["a"], "mass": _ENTRY}]}),
              EvidenceError,
-             r"^mass \(\('a',\), 1\.0\) of Subset\(\{a\}\) is not a real number$"),
+             r"^mass \{'elements': \['a'\], 'mass': 1\.0\} of Subset\(\{a\}\) "
+             r"is not a real number$"),
             (json.dumps({"frame": ["a"], "focal": [{"elements": [["a"]], "mass": 1.0}]}),
              UnknownLabelError, r"^label \['a'\] is not in the frame$"),
             (json.dumps({"frame": ["a"], "focal": [{"elements": "a", "mass": 1.0}]}),
@@ -870,21 +874,21 @@ class TestJsonFormat:
         ],
     )
     def test_error_types_and_messages_around_entries(self, text, error, message):
-        for parsed in (text, _past_mask_decode_min(text)):
-            with pytest.raises(error, match=message) as caught:
-                mass_from_json(parsed)
-            assert type(caught.value) is error
+        with pytest.raises(error, match=message) as caught:
+            mass_from_json(text)
+        assert type(caught.value) is error
+        assert _parse_outcome(wire._strict_mass_from_json, text) == (error, str(caught.value))
 
     def test_nesting_near_the_recursion_limit_parses_as_the_strict_path(self):
         # the mask decoder's own frames count toward the limit on some
-        # Pythons, so near it only the strict parse may get through; a short
-        # text goes to that parse from the same stack depth
+        # Pythons, so near it only the strict parse may get through; the
+        # lambda calls that parse from the depth mass_from_json calls it
         limit = sys.getrecursionlimit()
         for depth in range(limit // 2, limit):
             nested = "[" * depth + json.dumps(_ENTRY) + "]" * depth
             text = '{"frame": ["a"], "focal": [], "x": %s}' % nested
-            expected = _parse_outcome(mass_from_json, text)
-            assert _parse_outcome(mass_from_json, _past_mask_decode_min(text)) == expected
+            expected = _parse_outcome(lambda text: wire._strict_mass_from_json(text), text)
+            assert _parse_outcome(mass_from_json, text) == expected
 
     def test_round_trip(self, skewed_pair_mass):
         text = mass_to_json(skewed_pair_mass)
@@ -897,7 +901,6 @@ class TestJsonFormat:
         expected = _parse_outcome(wire._strict_mass_from_json, text)
         decoded = _parse_outcome(wire._mask_decoded, text)
         assert decoded == expected or (decoded is None and not plain)
-        assert _parse_outcome(mass_from_json, _past_mask_decode_min(text)) == expected
         assert _parse_outcome(mass_from_json, text) == expected
 
     def test_sparse_64_label_mass_first_seen_in_reverse(self):
@@ -914,12 +917,11 @@ class TestJsonFormat:
                  for mask, mass in zip(masks, masses)]
         text = json.dumps({"frame": list(frame.labels), "focal": focal})
         assert wire._mask_decoded(text) == expected
-        assert mass_from_json(_past_mask_decode_min(text)) == expected
+        assert mass_from_json(text) == expected
 
     def test_mass_to_json_power_set_needs_no_renumbering(self, monkeypatch):
         mass = max_deng(12).to_mass()
         text = mass_to_json(mass)
-        assert len(text) >= wire._MASK_DECODE_MIN
 
         def renumbered(masks, bits):
             raise AssertionError("the labels were first seen in frame order")
@@ -927,13 +929,33 @@ class TestJsonFormat:
         monkeypatch.setattr(wire, "_renumbered", renumbered)
         assert mass_from_json(text) == mass
 
+    def test_short_text_is_renumbered_by_the_mask_decode(self, monkeypatch):
+        # "d" is seen first, so every mask is renumbered onto the frame
+        text = json.dumps({"frame": ["a", "b", "c", "d"], "focal": [
+            {"elements": ["d", "b"], "mass": 0.5},
+            {"mass": 0.25, "elements": ["c"]},
+            {"elements": ["c", "a", "d"], "mass": 0.25},
+        ]})
+        assert len(text) < 1000
+        frame = Frame(("a", "b", "c", "d"))
+        expected = MassFunction.from_assignments(frame, {
+            frame.subset(("b", "d")): 0.5,
+            frame.singleton("c"): 0.25,
+            frame.subset(("a", "c", "d")): 0.25,
+        })
+
+        def strict(text):
+            raise AssertionError("a valid text took the strict parse")
+
+        monkeypatch.setattr(wire, "_strict_mass_from_json", strict)
+        assert mass_from_json(text) == expected
+
     def test_repeated_label_collapses_on_both_paths(self):
         text = json.dumps({"frame": ["a", "b"], "focal": [{"elements": ["a", "a", "b"], "mass": 1.0}]})
         frame = Frame(("a", "b"))
         expected = MassFunction.from_assignments(frame, {frame.full_set(): 1.0})
         assert wire._mask_decoded(text) is None
         assert mass_from_json(text) == expected
-        assert mass_from_json(_past_mask_decode_min(text)) == expected
 
     def test_power_set_parse_keeps_no_string_per_label(self):
         # the JSON scanner makes a new str for every label in an array: a

@@ -357,7 +357,7 @@ class TestLimitBehavior:
         # (1 - a)/(2^N - 2); as a -> 1 the dimension must fall to 0
         frame = Frame.generic(3)
         target = frame.singleton("e1")
-        others = [s for s in frame.all_subsets() if s.mask != target.mask]
+        others = [Subset(frame, mask) for mask in range(1, 1 << frame.size) if mask != target.mask]
         dims = []
         for t in range(1, 13):
             a = 1.0 - 10.0**-t
