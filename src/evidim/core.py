@@ -22,15 +22,21 @@ The :class:`CardinalityProfile` compressed form has no frame cap and
 carries a log-domain copy of each per-set mass so that very large frames
 survive double-precision underflow.  It is stored flat too, as parallel
 ``cards``, ``counts``, ``masses`` and ``log2_masses`` columns ascending in
-cardinality, plus the log2 of each count, taken once while validating;
-:class:`ProfileRow` objects are built only for the ``rows`` view.  It has
-one public constructor, :meth:`CardinalityProfile.from_counts`, which
-checks its plain input and takes each mass's log2.  It and the families,
-whose columns come from exact ratios, build through one private one,
-``CardinalityProfile._from_columns``, which validates every profile.  Set
-counts are exact ints, each checked against C(N, k) = C(N, N - k) from
-one walk of the exact binomial recurrence :func:`_binomials` up to
-min(k, N - k); the families take their counts from the same helper.
+cardinality; :class:`ProfileRow` objects are built only for the ``rows``
+view.  It has one public constructor, :meth:`CardinalityProfile.from_counts`,
+which checks its plain input and takes each mass's log2.  It and the
+families, whose columns come from exact ratios, build through one private
+one, ``CardinalityProfile._from_columns``, which validates every profile
+and does each job on its layers once.  Set counts are exact ints: the
+families that fill every layer pass none, and each layer takes C(N, k)
+from one walk of the exact binomial recurrence :func:`_binomial_row`, up
+to N // 2 and mirrored; listed counts are checked against
+:func:`math.comb`, in C-level passes that fall back to a walk over the
+layers only to name the first bad one.  The log2 of each count, each
+layer's log2 weight (log2 count + log2 mass) and one order of the layers,
+largest weight first, are kept as derived slots, so that
+:meth:`CardinalityProfile.total_mass` and the dimension kernel sort
+nothing.
 
 All types are immutable after construction and safe to share across
 threads: ``__slots__`` classes on one private base, :class:`_Value`,
@@ -42,8 +48,8 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, compress, repeat
-from operator import add, attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from operator import add, attrgetter, le
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 MAX_EXPLICIT_FRAME = 64
 DEFAULT_EXPANSION_LIMIT = 20
@@ -406,14 +412,18 @@ class CardinalityProfile(_Value):
     """
 
     _fields = ("frame_size", "cards", "counts", "masses", "log2_masses")
-    __slots__ = (*_fields, "_log2_counts")
+    __slots__ = (*_fields, "_log2_counts", "_order", "_log2_weights")
     frame_size: int
     cards: tuple[int, ...]
     counts: tuple[int, ...]
     masses: tuple[float, ...]
     log2_masses: tuple[float, ...]
-    # log2 of each count, taken once while validating; derived, so not compared
+    # derived while validating, so not compared: the log2 of each count, the
+    # layer indices by log2 weight (log2 count + log2 mass), largest first,
+    # and those weights in that order
     _log2_counts: tuple[float, ...]
+    _order: tuple[int, ...]
+    _log2_weights: tuple[float, ...]
 
     @classmethod
     def from_counts(
@@ -460,7 +470,7 @@ class CardinalityProfile(_Value):
         cls,
         frame_size: int,
         cards: Sequence[int],
-        counts: Sequence[int],
+        counts: Sequence[int] | None,
         masses: Sequence[float],
         log2_masses: Sequence[float],
     ) -> CardinalityProfile:
@@ -468,38 +478,43 @@ class CardinalityProfile(_Value):
 
         Takes columns of equal length, strictly ascending in cardinality,
         of int cardinalities and counts, each mass the double image of its
-        log2 mass.  The frame size must be an int of at least 1; per layer,
-        ``1 <= k <= N`` and a count in ``1..C(N, k)``.  Last, the masses
-        must sum to one.
+        log2 mass; ``counts`` of ``None`` makes every listed layer full,
+        C(N, k) sets.  The frame size must be an int of at least 1; per
+        layer, ``1 <= k <= N`` and a count in ``1..C(N, k)``.  Last, the
+        masses must sum to one.
+
+        The cardinalities and counts pass a few C-level checks, full
+        layers taking their counts from one binomial row and listed counts
+        checked against :func:`math.comb`; only a profile that fails them
+        is walked layer by layer, to name its first bad layer.  Each
+        layer's log2 weight, log2 count + log2 mass, is formed once and
+        the layers ordered once, largest weight first, for
+        :meth:`total_mass` and the dimension kernel.
         """
         _check_frame_size(frame_size)
-        # C(N, k) = C(N, N - k): the recurrence walks only up to min(k, N - k),
-        # keeping each value it passes in ``binomials``
-        walk = _binomials(frame_size)
-        binomials: list[int] = []
-        log2 = math.log2
-        log2_counts = []
-        for card, count in zip(cards, counts):
-            if not 1 <= card <= frame_size:
-                raise EvidenceError(f"cardinality {card} outside 1..{frame_size}")
-            half = card if card + card <= frame_size else frame_size - card
-            while half >= len(binomials):
-                binomials.append(next(walk))
-            full = binomials[half]
-            if count <= 0:
-                raise EvidenceError("profile rows must have positive set counts")
-            if count > full:
-                raise EvidenceError(
-                    f"{count} sets of cardinality {card} exceed C({frame_size},{card})"
-                )
-            log2_counts.append(log2(count))
+        valid = min(cards, default=1) >= 1 and max(cards, default=1) <= frame_size
+        if valid and counts is None:
+            counts = list(map(_binomial_row(frame_size).__getitem__, cards))
+        elif valid:
+            # math.comb per listed layer, not a row: a frame of 20,000 with one
+            # layer would walk 10,000 steps of the recurrence
+            valid = min(counts, default=1) >= 1 and all(
+                map(le, counts, map(math.comb, repeat(frame_size), cards))
+            )
+        if not valid:
+            raise _first_bad_layer(frame_size, cards, counts)
+        log2_counts = tuple(map(math.log2, counts))
+        weights = list(map(add, log2_counts, log2_masses))
+        order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
         profile = cls.__new__(cls)
         object.__setattr__(profile, "frame_size", frame_size)
         object.__setattr__(profile, "cards", tuple(cards))
         object.__setattr__(profile, "counts", tuple(counts))
         object.__setattr__(profile, "masses", tuple(masses))
         object.__setattr__(profile, "log2_masses", tuple(log2_masses))
-        object.__setattr__(profile, "_log2_counts", tuple(log2_counts))
+        object.__setattr__(profile, "_log2_counts", log2_counts)
+        object.__setattr__(profile, "_order", tuple(order))
+        object.__setattr__(profile, "_log2_weights", tuple(map(weights.__getitem__, order)))
         _check_unit_total((profile.total_mass(),), "profile masses")
         return profile
 
@@ -518,13 +533,10 @@ class CardinalityProfile(_Value):
         ``inf`` when the sum is too large for a float."""
         if not self.cards:
             return 0.0
-        # largest first, as dimension._profile_columns orders them: math.fsum
-        # stays cheap when magnitudes fall, and its result is the same bits
-        # in any order
+        # the weights are kept largest first: math.fsum stays cheap when
+        # magnitudes fall, and its result is the same bits in any order
         try:
-            return 2.0 ** _logsumexp2(
-                sorted(map(add, self._log2_counts, self.log2_masses), reverse=True)
-            )
+            return 2.0 ** _logsumexp2(self._log2_weights)
         except OverflowError:
             return math.inf
 
@@ -548,7 +560,7 @@ class CardinalityProfile(_Value):
             raise EvidenceError(
                 f"frame has {frame.size} elements, profile expects {self.frame_size}"
             )
-        binomials = list(_binomials(self.frame_size))
+        binomials = _binomial_row(self.frame_size)
         # highest bit first, so each layer's masks come out descending,
         # a run the sort in _from_masks reverses in one pass
         bits = [1 << i for i in reversed(range(self.frame_size))]
@@ -575,14 +587,38 @@ def _check_frame_size(n: int):
         raise EvidenceError("frame size must be at least 1")
 
 
-def _binomials(n: int) -> Iterator[int]:
+def _binomial_row(n: int) -> list[int]:
     """C(n, 0), C(n, 1), ..., C(n, n) as exact ints, by the recurrence
-    C(n, k) = C(n, k - 1) (n - k + 1) / k; the division is exact."""
+    C(n, k) = C(n, k - 1) (n - k + 1) / k, whose division is exact, walked
+    to n // 2; the rest mirrors it, C(n, k) = C(n, n - k)."""
     count = 1
-    yield count
-    for k in range(1, n + 1):
+    row = [count]
+    for k in range(1, n // 2 + 1):
         count = count * (n - k + 1) // k
-        yield count
+        row.append(count)
+    # an even n has one middle entry, which the mirror must not repeat
+    return row + row[::-1][1 - n % 2:]
+
+
+def _first_bad_layer(
+    frame_size: int, cards: Sequence[int], counts: Sequence[int] | None
+) -> EvidenceError:
+    """The error of the first layer, in cardinality order, whose
+    cardinality is outside ``1..frame_size`` or whose count is outside
+    ``1..C(frame_size, k)``; ``counts`` of ``None`` makes every layer
+    full."""
+    for i, card in enumerate(cards):
+        if not 1 <= card <= frame_size:
+            return EvidenceError(f"cardinality {card} outside 1..{frame_size}")
+        if counts is None:
+            continue
+        count = counts[i]
+        if count <= 0:
+            return EvidenceError("profile rows must have positive set counts")
+        if count > math.comb(frame_size, card):
+            return EvidenceError(
+                f"{count} sets of cardinality {card} exceed C({frame_size},{card})"
+            )
 
 
 def _as_mass(value, owner) -> float:

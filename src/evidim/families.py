@@ -1,12 +1,12 @@
 """Parametric mass-function families, generated as cardinality profiles.
 
 All four families are cardinality-symmetric, so a profile represents them
-exactly, and rational construction keeps their total mass exactly 1.  Layer
-counts C(n, k) are exact ints from the binomial recurrence in
-:func:`evidim.core._binomials`, one multiply and one exact division per row.
-Each family hands its layers to the profile as columns, with each per-set
-mass num/den and its log2 taken as log2(num) - log2(den) from the exact
-ints, so the log2 stays accurate where num/den underflows a double.
+exactly, and rational construction keeps their total mass exactly 1.  Each
+family hands its layers to the profile as columns, with each per-set mass
+num/den and its log2 taken as log2(num) - log2(den) from the exact ints, so
+the log2 stays accurate where num/den underflows a double.  The two families
+that fill every layer pass no counts: the profile takes each C(n, k) from the
+one binomial row it walks to validate, so a row is walked once.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import math
 from typing import Callable
 
 from .core import (
-    CardinalityProfile, EvidenceError, FrameTooLargeError, _binomials, _check_frame_size
+    CardinalityProfile, EvidenceError, FrameTooLargeError, _check_frame_size
 )
 
 PROFILE_LIMIT = 1024
@@ -42,7 +42,7 @@ def uniform_powerset(n: int) -> CardinalityProfile:
     _check_size(n, PROFILE_LIMIT)
     mass, log2_mass = _ratio(1, (1 << n) - 1)
     return CardinalityProfile._from_columns(
-        n, range(1, n + 1), tuple(_binomials(n))[1:], (mass,) * n, (log2_mass,) * n
+        n, range(1, n + 1), None, (mass,) * n, (log2_mass,) * n
     )
 
 
@@ -60,7 +60,7 @@ def max_deng(n: int) -> CardinalityProfile:
     return CardinalityProfile._from_columns(
         n,
         range(1, n + 1),
-        tuple(_binomials(n))[1:],
+        None,
         [num / den for num in nums],
         [math.log2(num) - log2_den for num in nums],
     )

@@ -17,9 +17,9 @@ every label in an array, so on a full 16-element power set (524,288
 label occurrences) the parse's traced peak is about 11 MB, against 45 MB
 for a parse that keeps them and 15 MB for one that keeps a ``(mask,
 mass)`` tuple per entry.  Once the frame is known, the masks are
-renumbered onto the frame's bits by per-run tables, a step skipped when
-the labels were first seen in frame order, as in :func:`mass_to_json`
-output.
+renumbered onto the frame's bits, a few masks bit by bit and more by
+per-run tables, a step skipped when the labels were first seen in frame
+order, as in :func:`mass_to_json` output.
 
 A text that does not decode to that form (an invalid document, or an
 entry with an unknown, repeated or non-string label, no labels, or a
@@ -73,11 +73,36 @@ class _NotAMask(Exception):
     """An entry's labels repeat or are empty: the mask decode stops."""
 
 
+# below this many masks, renumbering bit by bit costs less than building the
+# tables: on 4 to 64 labels the two cost the same at 16 to 32 random masks
+_TABLES_MIN = 24
+
+
 def _renumbered(masks: list[int], bits: list[int]) -> list[int]:
-    """``masks`` with bit i of each replaced by ``bits[i]``: each run of 8
-    bits gets a table indexed by a mask's byte over that run, each entry
-    the union of the ``bits`` the byte selects, so a mask takes one lookup
-    per run."""
+    """``masks`` with bit i of each replaced by ``bits[i]``, bit by bit
+    for a few masks and by per-run tables for more."""
+    if len(masks) < _TABLES_MIN:
+        return _renumbered_by_bit(masks, bits)
+    return _renumbered_by_tables(masks, bits)
+
+
+def _renumbered_by_bit(masks: list[int], bits: list[int]) -> list[int]:
+    """:func:`_renumbered` one set bit at a time, lowest first."""
+    renumbered = []
+    for mask in masks:
+        chosen = 0
+        while mask:
+            low = mask & -mask
+            chosen |= bits[low.bit_length() - 1]
+            mask ^= low
+        renumbered.append(chosen)
+    return renumbered
+
+
+def _renumbered_by_tables(masks: list[int], bits: list[int]) -> list[int]:
+    """:func:`_renumbered` by tables: each run of 8 bits gets a table
+    indexed by a mask's byte over that run, each entry the union of the
+    ``bits`` the byte selects, so a mask takes one lookup per run."""
     renumbered = [0] * len(masks)
     for start in range(0, len(bits), 8):
         table = [0]

@@ -45,8 +45,8 @@ from evidim import (
     uniform_powerset,
     vacuous,
 )
-from evidim import wire
-from evidim.core import _as_mass
+from evidim import core, wire
+from evidim.core import _as_mass, _binomial_row
 
 
 class TestFrame:
@@ -423,6 +423,12 @@ class TestProfiles:
             return min(times)
 
         assert best_of_five(profile.total_mass) < best_of_five(lambda: math.fsum(ascending))
+        # the weights are formed and ordered once, when the profile is built
+        assert profile._log2_weights == tuple(sorted(profile._log2_weights, reverse=True))
+        assert profile._log2_weights == tuple(
+            profile._log2_counts[i] + profile.log2_masses[i] for i in profile._order
+        )
+        assert sorted(profile._order) == list(range(len(profile.cards)))
 
     def test_partial_layer_rejected(self):
         profile = CardinalityProfile.from_counts(3, {1: (2, 0.5)})
@@ -496,6 +502,63 @@ class TestProfiles:
         assert CardinalityProfile.from_counts(10, {9: (10, 0.1)}).counts == (10,)
         with pytest.raises(EvidenceError, match=r"11 sets of cardinality 9 exceed C\(10,9\)"):
             CardinalityProfile.from_counts(10, {9: (11, 1 / 11)})
+
+    @pytest.mark.parametrize("n", [*range(1, 71), 1023, 1024])
+    def test_binomial_row_is_exact(self, n):
+        # the row walks to n // 2 and mirrors the rest, the middle entry of an
+        # even n once
+        assert _binomial_row(n) == [math.comb(n, k) for k in range(n + 1)]
+
+    @pytest.mark.parametrize("family", [max_deng, uniform_powerset])
+    def test_full_layer_families_walk_one_binomial_row(self, family, monkeypatch):
+        walked = []
+
+        def counted(n):
+            walked.append(n)
+            return _binomial_row(n)
+
+        monkeypatch.setattr(core, "_binomial_row", counted)
+        profile = family(40)
+        assert walked == [40]
+        assert profile.counts == tuple(math.comb(40, k) for k in range(1, 41))
+
+    def test_listed_counts_walk_no_binomial_row(self, monkeypatch):
+        # a row for one layer of a 20,000-element frame would walk the
+        # recurrence 10,000 steps; listed counts are checked by math.comb
+        def walk(n):
+            raise AssertionError(f"walked the binomial row of {n}")
+
+        monkeypatch.setattr(core, "_binomial_row", walk)
+        assert vacuous(20_000).counts == (1,)
+        assert uniform_bayesian(20_000).counts == (20_000,)
+        assert CardinalityProfile.from_counts(1000, {999: (1000, 1 / 1000)}).counts == (1000,)
+
+    @pytest.mark.parametrize(
+        "cards, counts, message",
+        [
+            # two counts of 0; a count of 0 before a count above C(4, 3), and
+            # the reverse
+            ((1, 2, 3), (0, 6, 0), "^profile rows must have positive set counts$"),
+            ((1, 2, 3), (4, 0, 9), "^profile rows must have positive set counts$"),
+            ((1, 2, 3), (4, 9, 0), r"^9 sets of cardinality 2 exceed C\(4,2\)$"),
+            ((1, 2, 3), (4, 7, 5), r"^7 sets of cardinality 2 exceed C\(4,2\)$"),
+            # a count above C(4, 2) before cardinalities above N
+            ((1, 2, 5, 6), (4, 7, 1, 1), r"^7 sets of cardinality 2 exceed C\(4,2\)$"),
+            ((1, 5, 6), (4, 1, 1), r"^cardinality 5 outside 1\.\.4$"),
+            ((0, 5), (1, 1), r"^cardinality 0 outside 1\.\.4$"),
+            ((0, 5), None, r"^cardinality 0 outside 1\.\.4$"),
+            ((2, 5, 6), None, r"^cardinality 5 outside 1\.\.4$"),
+        ],
+    )
+    def test_first_bad_layer_is_named(self, cards, counts, message):
+        # the bulk checks fail on two bad layers; the message is the one a
+        # walk in cardinality order meets first
+        masses = [0.1] * len(cards)
+        with pytest.raises(EvidenceError, match=message) as raised:
+            CardinalityProfile._from_columns(
+                4, cards, counts, masses, list(map(math.log2, masses))
+            )
+        assert type(raised.value) is EvidenceError
 
     def test_vacuous_builds_on_a_large_frame(self):
         profile = vacuous(20_000)
@@ -918,6 +981,17 @@ class TestJsonFormat:
         text = json.dumps({"frame": list(frame.labels), "focal": focal})
         assert wire._mask_decoded(text) == expected
         assert mass_from_json(text) == expected
+
+    @given(data=st.data(), size=st.integers(min_value=1, max_value=64))
+    @settings(max_examples=200, deadline=None)
+    def test_renumbering_by_bit_matches_the_tables(self, data, size):
+        bits = data.draw(st.permutations([1 << i for i in range(size)]))
+        masks = data.draw(st.lists(st.integers(min_value=1, max_value=(1 << size) - 1),
+                                   max_size=2 * wire._TABLES_MIN))
+        by_bit = wire._renumbered_by_bit(masks, bits)
+        assert by_bit == wire._renumbered_by_tables(masks, bits)
+        assert wire._renumbered(masks, bits) == by_bit
+        assert [mask.bit_count() for mask in by_bit] == [mask.bit_count() for mask in masks]
 
     def test_mass_to_json_power_set_needs_no_renumbering(self, monkeypatch):
         mass = max_deng(12).to_mass()

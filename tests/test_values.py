@@ -85,7 +85,9 @@ class TestCopies:
     def test_derived_columns_survive(self, how):
         frame, profile = VALUES["Frame"], VALUES["CardinalityProfile"]
         assert COPIES[how](frame)._bits == {"a": 1, "b": 2, "c": 4}
-        assert COPIES[how](profile)._log2_counts == profile._log2_counts
+        for derived in ("_log2_counts", "_order", "_log2_weights"):
+            kept = getattr(COPIES[how](profile), derived)
+            assert type(kept) is tuple and kept == getattr(profile, derived)
         copied = COPIES[how](VALUES["MassFunction"])
         assert copied.frame._bits == frame._bits
         assert copied.frame.subset(["b"]).mask == 2
@@ -117,8 +119,9 @@ class TestImmutability:
     def test_derived_slots_cannot_be_assigned(self):
         with pytest.raises(AttributeError):
             VALUES["Frame"]._bits = {}
-        with pytest.raises(AttributeError):
-            VALUES["CardinalityProfile"]._log2_counts = ()
+        for derived in ("_log2_counts", "_order", "_log2_weights"):
+            with pytest.raises(AttributeError):
+                setattr(VALUES["CardinalityProfile"], derived, ())
 
 
 # captured from the dataclass implementation the reprs must keep
@@ -174,7 +177,9 @@ class TestReprAndEquality:
 
     def test_profile_equality_ignores_the_log2_counts(self):
         profile, twin = max_deng(4), max_deng(4)
-        object.__setattr__(twin, "_log2_counts", ())
+        for derived in ("_log2_counts", "_order", "_log2_weights"):
+            object.__setattr__(twin, derived, ())
+        assert repr(profile) == repr(twin)
         assert profile == twin and hash(profile) == hash(twin)
         assert profile != max_deng(5)
 
