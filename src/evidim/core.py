@@ -27,16 +27,21 @@ view.  It has one public constructor, :meth:`CardinalityProfile.from_counts`,
 which checks its plain input and takes each mass's log2.  It and the
 families, whose columns come from exact ratios, build through one private
 one, ``CardinalityProfile._from_columns``, which validates every profile
-and does each job on its layers once.  Set counts are exact ints: the
-families that fill every layer pass none, and each layer takes C(N, k)
-from one walk of the exact binomial recurrence :func:`_binomial_row`, up
-to N // 2 and mirrored; listed counts are checked against
-:func:`math.comb`, in C-level passes that fall back to a walk over the
-layers only to name the first bad one.  The log2 of each count, each
+and does each job on its layers once; ``CardinalityProfile(...)`` itself
+raises a ``TypeError`` that names ``from_counts``.  Set counts are exact
+ints: the families that fill every layer pass none, and each layer takes
+C(N, k) from one walk of the exact binomial recurrence
+:func:`_binomial_row`, up to N // 2 and mirrored; listed counts are
+checked against :func:`math.comb`, in C-level passes that fall back to a
+walk over the layers only to name the first bad one.  The log2 of each count, each
 layer's log2 weight (log2 count + log2 mass) and one order of the layers,
 largest weight first, are kept as derived slots, so that
 :meth:`CardinalityProfile.total_mass` and the dimension kernel sort
-nothing.
+nothing.  A column is put in that order, or a full layer's count taken
+from the binomial row, by one ``operator.itemgetter`` call
+(:func:`_gather`).  The split table ``_SPLITS``, log2(2^k - 1) for k up
+to :data:`PROFILE_LIMIT`, lives here, so that the dimension kernel and
+the families read one table.
 
 All types are immutable after construction and safe to share across
 threads: ``__slots__`` classes on one private base, :class:`_Value`,
@@ -47,14 +52,35 @@ Importing the module loads no ``dataclasses``.
 from __future__ import annotations
 
 import math
+import reprlib
 from itertools import combinations, compress, repeat
-from operator import add, attrgetter, le
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from operator import add, attrgetter, itemgetter, le
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 MAX_EXPLICIT_FRAME = 64
+PROFILE_LIMIT = 1024
 DEFAULT_EXPANSION_LIMIT = 20
 MASS_TOLERANCE = 1e-9
 SYMMETRY_TOLERANCE = 1e-12
+
+# bounds each echoed input value in a message (see _shown); configured once,
+# read only.  reprlib costs no import, since collections, which typing and
+# json load, imports it
+_SHOWN = reprlib.Repr()
+_SHOWN.maxlevel = 2
+_SHOWN.maxstring = _SHOWN.maxlong = _SHOWN.maxother = 82
+
+# log2(2^k - 1) for k = 0..PROFILE_LIMIT, the widest family profile, 0.0 at
+# k = 0 unused; the dimension kernel reads its split column here and
+# families.max_deng its log2 numerators.  Past k = 53, 2^k - 1 rounds to 2^k
+# in a double, so math.log2 gives k exactly: the entries past the explicit
+# frame cap are float(k), the same bits without a k-bit integer, and a
+# wider profile reads a larger k as float(k) too.
+_SPLITS = [
+    0.0,
+    *[math.log2((1 << k) - 1) for k in range(1, MAX_EXPLICIT_FRAME + 1)],
+    *map(float, range(MAX_EXPLICIT_FRAME + 1, PROFILE_LIMIT + 1)),
+]
 
 
 class EvidenceError(ValueError):
@@ -408,7 +434,8 @@ class CardinalityProfile(_Value):
     positive-count layers appear.  :attr:`rows` shows the same layers as
     ``(k, ProfileRow)`` pairs.  Exact for any family in which all focal
     sets of equal cardinality share one mass.  Construct through
-    :meth:`from_counts`, which validates.
+    :meth:`from_counts`, which validates; calling the class raises
+    ``TypeError``.
     """
 
     _fields = ("frame_size", "cards", "counts", "masses", "log2_masses")
@@ -424,6 +451,14 @@ class CardinalityProfile(_Value):
     _log2_counts: tuple[float, ...]
     _order: tuple[int, ...]
     _log2_weights: tuple[float, ...]
+
+    def __init__(self, *args, **kwargs):
+        # every profile is validated: from_counts and _from_columns build
+        # through __new__, and pickle and copy restore through __setstate__
+        raise TypeError(
+            "CardinalityProfile has no direct constructor; use "
+            "CardinalityProfile.from_counts(frame_size, {cardinality: (set_count, per_set_mass)})"
+        )
 
     @classmethod
     def from_counts(
@@ -494,7 +529,7 @@ class CardinalityProfile(_Value):
         _check_frame_size(frame_size)
         valid = min(cards, default=1) >= 1 and max(cards, default=1) <= frame_size
         if valid and counts is None:
-            counts = list(map(_binomial_row(frame_size).__getitem__, cards))
+            counts = _gather(cards)(_binomial_row(frame_size))
         elif valid:
             # math.comb per listed layer, not a row: a frame of 20,000 with one
             # layer would walk 10,000 steps of the recurrence
@@ -514,7 +549,7 @@ class CardinalityProfile(_Value):
         object.__setattr__(profile, "log2_masses", tuple(log2_masses))
         object.__setattr__(profile, "_log2_counts", log2_counts)
         object.__setattr__(profile, "_order", tuple(order))
-        object.__setattr__(profile, "_log2_weights", tuple(map(weights.__getitem__, order)))
+        object.__setattr__(profile, "_log2_weights", _gather(order)(weights))
         _check_unit_total((profile.total_mass(),), "profile masses")
         return profile
 
@@ -600,6 +635,15 @@ def _binomial_row(n: int) -> list[int]:
     return row + row[::-1][1 - n % 2:]
 
 
+def _gather(index: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A getter of ``column[i]`` for each ``i`` in ``index``, as a tuple, in
+    one C-level call per column.  ``itemgetter`` returns one index's item
+    bare and takes no empty index, so those two gather through ``map``."""
+    if len(index) > 1:
+        return itemgetter(*index)
+    return lambda column: tuple(map(column.__getitem__, index))
+
+
 def _first_bad_layer(
     frame_size: int, cards: Sequence[int], counts: Sequence[int] | None
 ) -> EvidenceError:
@@ -651,13 +695,7 @@ def _shown(value) -> str:
     """``repr`` of a value from the input, bounded for a message: strings
     of up to 80 characters, and containers of up to six items two levels
     deep, are shown whole."""
-    # imported on first use, like numbers in _is_real
-    from reprlib import Repr
-
-    shown = Repr()
-    shown.maxlevel = 2
-    shown.maxstring = shown.maxlong = shown.maxother = 82
-    return shown.repr(value)
+    return _SHOWN.repr(value)
 
 
 def _name(owner) -> str:

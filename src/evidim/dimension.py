@@ -18,9 +18,12 @@ parallel columns that this module alone builds and reads: an explicit
 mass function gives one entry per focal set, with a count column of 0.0,
 a profile one entry per cardinality layer and a distribution one entry
 per outcome.  No row object is built per entry.  A profile's columns
-follow the order its construction kept, largest layer weight first, and
-reuse the weights it formed then, so the kernel sorts nothing.  Another
-base is a display choice, one division the caller makes.
+follow the order its construction kept, largest layer weight first, each
+gathered by one ``operator.itemgetter`` call, and reuse the weights it
+formed then, so the kernel sorts nothing.  The split column reads
+log2(2^k - 1) from ``core._SPLITS``, a table up to the widest family
+profile, k = ``PROFILE_LIMIT``.  Another base is a display choice, one
+division the caller makes.
 """
 from __future__ import annotations
 
@@ -28,8 +31,8 @@ import math
 from typing import NamedTuple, Sequence
 
 from .core import (
-    MAX_EXPLICIT_FRAME, CardinalityProfile, MassFunction, ProbabilityDistribution,
-    _check_frame_size, _logsumexp2,
+    _SPLITS, CardinalityProfile, MassFunction, ProbabilityDistribution, _check_frame_size,
+    _gather, _logsumexp2,
 )
 
 # Every sum runs over five parallel columns, one entry per layer of focal
@@ -39,11 +42,6 @@ from .core import (
 Columns = tuple[
     Sequence[float], Sequence[float], Sequence[float], Sequence[float], Sequence[float]
 ]
-
-# log2(2^k - 1) for k = 0..64, the explicit frame cap, 0.0 at k = 0 unused.
-# Past k = 53, 2^k - 1 rounds to 2^k in a double, so its log2 is k exactly:
-# a profile reads a larger k as float(k) and never builds a k-bit integer.
-_SPLITS = [0.0] + [math.log2((1 << k) - 1) for k in range(1, MAX_EXPLICIT_FRAME + 1)]
 
 
 class DimensionReport(NamedTuple):
@@ -74,14 +72,15 @@ def _profile_columns(profile: CardinalityProfile) -> Columns:
     # profile kept: math.fsum keeps one partial per non-overlapping
     # magnitude, and terms spanning hundreds of binary orders in ascending
     # order keep its partials list growing.  fsum is correctly rounded in
-    # any order, so the order changes no bit.
-    order = profile._order
+    # any order, so the order changes no bit.  A k past the split table, as
+    # in vacuous(20000), reads as float(k), the same bits.
+    gather = _gather(profile._order)
     splits, top = _SPLITS, len(_SPLITS)
     return (
-        [splits[k] if k < top else float(k) for k in map(profile.cards.__getitem__, order)],
-        list(map(profile._log2_counts.__getitem__, order)),
-        list(map(profile.log2_masses.__getitem__, order)),
-        list(map(profile.masses.__getitem__, order)),
+        [splits[k] if k < top else float(k) for k in gather(profile.cards)],
+        gather(profile._log2_counts),
+        gather(profile.log2_masses),
+        gather(profile.masses),
         profile._log2_weights,
     )
 

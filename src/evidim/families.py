@@ -4,9 +4,11 @@ All four families are cardinality-symmetric, so a profile represents them
 exactly, and rational construction keeps their total mass exactly 1.  Each
 family hands its layers to the profile as columns, with each per-set mass
 num/den and its log2 taken as log2(num) - log2(den) from the exact ints, so
-the log2 stays accurate where num/den underflows a double.  The two families
-that fill every layer pass no counts: the profile takes each C(n, k) from the
-one binomial row it walks to validate, so a row is walked once.
+the log2 stays accurate where num/den underflows a double; max-deng reads
+each log2(2^k - 1) from ``core._SPLITS``, which holds it for every k up to
+:data:`PROFILE_LIMIT`.  The two families that fill every layer pass no
+counts: the profile takes each C(n, k) from the one binomial row it walks to
+validate, so a row is walked once.
 """
 from __future__ import annotations
 
@@ -14,10 +16,9 @@ import math
 from typing import Callable
 
 from .core import (
-    CardinalityProfile, EvidenceError, FrameTooLargeError, _check_frame_size
+    _SPLITS, PROFILE_LIMIT, CardinalityProfile, EvidenceError, FrameTooLargeError,
+    _check_frame_size,
 )
-
-PROFILE_LIMIT = 1024
 
 
 class UnknownFamilyError(EvidenceError):
@@ -55,14 +56,14 @@ def max_deng(n: int) -> CardinalityProfile:
     _check_size(n, PROFILE_LIMIT)
     den = 3 ** n - 2 ** n
     log2_den = math.log2(den)
-    nums = [(1 << k) - 1 for k in range(1, n + 1)]
-    # _ratio's values, with log2(den) taken once
+    # _ratio's values, with log2(den) taken once and each log2(2^k - 1) read
+    # from the split table, which holds math.log2((1 << k) - 1) for k <= n
     return CardinalityProfile._from_columns(
         n,
         range(1, n + 1),
         None,
-        [num / den for num in nums],
-        [math.log2(num) - log2_den for num in nums],
+        [((1 << k) - 1) / den for k in range(1, n + 1)],
+        [s - log2_den for s in _SPLITS[1:n + 1]],
     )
 
 

@@ -595,6 +595,13 @@ class TestProfiles:
         for name in ("from_mass", "from_ratio"):
             assert not hasattr(ProfileRow, name)
 
+    @pytest.mark.parametrize("args", [(), (3, (1,), (3,), (1 / 3,), (-math.log2(3),))])
+    def test_direct_construction_names_from_counts(self, args):
+        # a bare call built a profile with unset slots; pickle and copy
+        # restore through __new__ and __setstate__ (see test_values.py)
+        with pytest.raises(TypeError, match=r"CardinalityProfile\.from_counts"):
+            CardinalityProfile(*args)
+
     def test_row_mass_must_match_its_log2(self):
         # the kernel takes the split scale from each mass and the entropy from
         # its log2 mass; from_counts derives the one from the other, down to

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from conftest import compute_by_base, random_mass
 from evidim import (
+    FAMILIES,
     CardinalityProfile,
     Frame,
     MassFunction,
+    NonUnitTotalError,
     ProbabilityDistribution,
     Subset,
     information_dimension,
@@ -25,6 +27,7 @@ from evidim import (
     uniform_powerset,
     vacuous,
 )
+from evidim.dimension import _SPLITS
 
 FOUR_DP = 5e-5
 
@@ -272,6 +275,22 @@ def _ascending_sums(rows: dict[int, tuple[int, float]]) -> tuple[float, float, f
     return entropy, split, 2.0 ** _log2_sum([lc + lm for _, lc, lm, _ in layers])
 
 
+def _assert_report_matches_columns(profile: CardinalityProfile):
+    report = information_dimension_profile(profile)
+    if (profile.cards, profile.counts) == ((1,), (1,)):
+        assert report.degenerate
+        return
+    entropy, split = _row_sums([
+        (math.log2((1 << card) - 1), math.log2(count), log2_mass, mass)
+        for card, count, mass, log2_mass in zip(
+            profile.cards, profile.counts, profile.masses, profile.log2_masses
+        )
+    ])
+    assert (report.entropy_bits, report.split_scale_bits) == (entropy, split)
+    assert report.dimension == entropy / split
+    assert not report.degenerate
+
+
 @st.composite
 def spread_weights(draw, min_size: int, max_size: int) -> list[float]:
     """``min_size`` to ``max_size`` positive weights summing to 1, spread
@@ -320,6 +339,36 @@ class TestSumOrder:
             report = information_dimension_profile(vacuous(k))
             expected = math.log2((1 << k) - 1)
             assert (report.entropy_bits, report.split_scale_bits) == (expected, expected)
+
+    def test_split_table_holds_its_definition(self):
+        # the kernel reads log2(2^k - 1) from the table, or float(k) past it
+        top = len(_SPLITS)
+        for k in range(1, 1025):
+            assert (_SPLITS[k] if k < top else float(k)) == math.log2((1 << k) - 1), k
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_reports_match_their_public_columns_bit_for_bit(self, family):
+        # the kernel gathers each column in the profile's largest-first order;
+        # the row formulas over the public columns, ascending in cardinality,
+        # must give the same bits
+        for n in (*range(1, 81), *range(1020, 1025)):
+            _assert_report_matches_columns(FAMILIES[family](n))
+
+    @pytest.mark.parametrize("rows", [
+        {1: (1, 1.0)},
+        {3: (1, 1.0)},
+        {2: (1, 1.0)},
+        {1: (2, 0.5)},
+        {1: (1, 0.25), 3: (1, 0.75)},
+        {2: (3, 0.25), 1: (1, 0.25)},
+    ])
+    def test_small_profile_reports_match_their_public_columns_bit_for_bit(self, rows):
+        # one and two layers: itemgetter returns one index's item bare
+        _assert_report_matches_columns(CardinalityProfile.from_counts(3, rows))
+
+    def test_profile_with_no_layers_is_not_one(self):
+        with pytest.raises(NonUnitTotalError, match="sum to 0.0"):
+            CardinalityProfile.from_counts(3, {})
 
     @given(mass=explicit_masses())
     @settings(max_examples=150, deadline=None)

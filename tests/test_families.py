@@ -120,6 +120,12 @@ class TestExactness:
                 total = family_profile(name, n).total_mass()
                 assert abs(total - 1.0) <= 1e-12, (name, n)
 
+    def test_max_deng_log2_masses_are_log2_ratios_of_the_exact_ints(self):
+        for n in (*range(1, 71), *range(1020, 1025)):
+            log2_den = math.log2(3**n - 2**n)
+            expected = [math.log2((1 << k) - 1) - log2_den for k in range(1, n + 1)]
+            assert list(max_deng(n).log2_masses) == expected, n
+
     def test_max_deng_attains_the_entropy_maximum(self):
         for n in range(1, 26):
             attained = information_dimension_profile(max_deng(n)).entropy_bits
