@@ -360,10 +360,10 @@ class MassFunction(_Value):
         index = range(len(masks))
         if 0.0 in masses:
             index = compress(index, map((0.0).__lt__, masses))
-        order = sorted(index, key=masks.__getitem__)
-        masses = tuple(map(masses.__getitem__, order))
+        gather = _gather(sorted(index, key=masks.__getitem__))
+        masses = gather(masses)
         _check_unit_total(masses, "focal masses")
-        return cls(frame, tuple(map(masks.__getitem__, order)), masses)
+        return cls(frame, gather(masks), masses)
 
     @property
     def focal(self) -> tuple[tuple[Subset, float], ...]:

@@ -1,12 +1,17 @@
 """Brute-force reference computations for the dimension report.
 
 Ground truth for equivalence tests: sums run focal set by focal set with
-no cardinality grouping and no shared code with the main path.  May be
-exponentially slow; that is the point.
+no cardinality grouping and no shared code with the main path.  Each
+per-focal-set term is formed on its own, in C-level passes over the
+columns (``map`` of ``math.log2``, ``operator.mul`` and ``pow``), and
+summed once by ``math.fsum``: the same bits as a Python loop over the
+entries, since ``(-m) * y == -(m * y)`` and ``fsum`` rounds a negated
+sum to the negated result.  May be exponentially slow; that is the point.
 """
 from __future__ import annotations
 
-import math
+from math import fsum, log2
+from operator import mul, truediv
 
 from .core import MassFunction
 from .dimension import DimensionReport
@@ -14,21 +19,14 @@ from .dimension import DimensionReport
 
 def brute_force_report(mass: MassFunction) -> DimensionReport:
     """Per-focal-element evaluation of entropy, split scale, and dimension."""
-    if len(mass.masks) == 1 and _popcount(mass.masks[0]) == 1:
+    # each focal set's 2^|A| - 1 nonempty subsets, its size counted afresh
+    splits = [2 ** bin(mask).count("1") - 1 for mask in mass.masks]
+    if splits == [1]:
         return DimensionReport(0.0, 0.0, 0.0, True)
-    entropy_terms = []
-    split_terms = []
-    for mask, m in zip(mass.masks, mass.masses):
-        splits = 2 ** _popcount(mask) - 1
-        entropy_terms.append(-m * math.log2(m / splits))
-        split_terms.append(splits ** m)
-    entropy = math.fsum(entropy_terms)
-    split = math.log2(math.fsum(split_terms))
+    masses = mass.masses
+    entropy = -fsum(map(mul, masses, map(log2, map(truediv, masses, splits))))
+    split = log2(fsum(map(pow, splits, masses)))
     return DimensionReport(entropy, split, entropy / split, False)
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def compare_reports(a: DimensionReport, b: DimensionReport, tol: float) -> bool:

@@ -14,12 +14,15 @@ only until its entry is decoded and an entry leaves only its mask and its
 mass behind.  The decode stops at the first entry that is not a mask.
 The JSON scanner shares repeated object keys but makes a new string for
 every label in an array, so on a full 16-element power set (524,288
-label occurrences) the parse's traced peak is about 11 MB, against 45 MB
+label occurrences) the parse's traced peak is about 8.5 MB, against 45 MB
 for a parse that keeps them and 15 MB for one that keeps a ``(mask,
-mass)`` tuple per entry.  Once the frame is known, the masks are
-renumbered onto the frame's bits, a few masks bit by bit and more by
-per-run tables, a step skipped when the labels were first seen in frame
-order, as in :func:`mass_to_json` output.
+mass)`` tuple per entry.  A text that opens with ``"frame"``, as
+:func:`mass_to_json` output and ``json.dumps`` of a ``{"frame",
+"focal"}`` dict do, has that value decoded on its own first, and a list
+of at most 64 strings seeds the numbering in frame order, so the masks
+come out on the frame's bits.  Only when ``"focal"`` comes first are the
+masks renumbered onto the frame's bits once it is known, a few masks bit
+by bit and more by per-run tables.
 
 A text that does not decode to that form (an invalid document, or an
 entry with an unknown, repeated or non-string label, no labels, or a
@@ -36,6 +39,7 @@ entry, so the text is copied in full only by that join.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from json.encoder import encode_basestring
 
@@ -63,6 +67,33 @@ class _FirstSeen(dict):
             raise KeyError(label)
         bit = self[label] = 1 << len(self)
         return bit
+
+
+# the opening of a text whose first key is "frame", up to that key's value;
+# json.loads allows whitespace around every token.  re compiles it on the
+# first parse (about 0.2 ms), so importing the module or a sweep never does
+_FRAME_FIRST = r'[ \t\n\r]*\{[ \t\n\r]*"frame"[ \t\n\r]*:[ \t\n\r]*'
+_decoded_value = json.JSONDecoder().raw_decode
+
+
+def _leading_frame(text: str) -> list[str]:
+    """The labels of a ``"frame"`` that opens ``text``, when it decodes to
+    a list of at most :data:`MAX_EXPLICIT_FRAME` strings, else no labels:
+    any other frame is left to the full decode to accept or reject."""
+    opening = re.match(_FRAME_FIRST, text)
+    if opening is None:
+        return []
+    try:
+        labels = _decoded_value(text, opening.end())[0]
+    except (ValueError, RecursionError):
+        return []
+    if (
+        type(labels) is list
+        and len(labels) <= MAX_EXPLICIT_FRAME
+        and all(type(label) is str for label in labels)
+    ):
+        return labels
+    return []
 
 
 # what the mask decode's hook returns for an entry it moved into its columns
@@ -155,9 +186,11 @@ def mass_from_json(text: str) -> MassFunction:
 def _mask_decoded(text: str) -> MassFunction | None:
     """The mass function, when every focal entry decodes to a mask over
     labels in first-seen order with a plain ``float`` or ``int`` mass and
-    every label is in the frame; the masks are renumbered onto the frame's
-    bits unless the labels were first seen in frame order.  ``None`` for
-    any other document that decodes.  The errors it raises are those
+    every label is in the frame.  A leading frame (:func:`_leading_frame`)
+    is numbered first, so its labels are seen in frame order; otherwise
+    the masks are renumbered onto the frame's bits unless the labels were
+    first seen in frame order.  ``None`` for any other document that
+    decodes.  The errors it raises are those
     :func:`_strict_mass_from_json` raises on the same text.
 
     The hook appends each entry's mask and mass to two columns and leaves
@@ -166,6 +199,8 @@ def _mask_decoded(text: str) -> MassFunction | None:
     """
     seen = _FirstSeen()
     bit_of = seen.__getitem__
+    for label in _leading_frame(text):
+        bit_of(label)
     masks: list[int] = []
     masses: list = []
     add_mask, add_mass = masks.append, masses.append
@@ -267,11 +302,13 @@ def mass_to_json(mass: MassFunction) -> str:
     entries = [
         f'{{\n      "elements": [{chosen}\n      ],\n      "mass": {reprs[value]}\n    }}'
         for chosen, value in zip(elements, mass.masses)
-    ] or [""]  # no entries: only the unvalidated constructor makes one
+    ]
     del elements
+    head = '{\n  "frame": [\n    ' + ",\n    ".join(labels) + '\n  ],\n  "focal": ['
+    if not entries:  # only the unvalidated constructor makes such a mass
+        return head + "]\n}"
     # the head rides on the first entry and the tail on the last (a lone
     # entry takes both), so the one join makes the only full-size copy
-    head = '{\n  "frame": [\n    ' + ",\n    ".join(labels) + '\n  ],\n  "focal": [\n    '
-    entries[0] = head + entries[0]
+    entries[0] = head + "\n    " + entries[0]
     entries[-1] += "\n  ]\n}"
     return ",\n    ".join(entries)

@@ -868,9 +868,10 @@ def _traced(call, *args):
         tracemalloc.stop()
 
 
-def _shuffled_power_set_text() -> str:
+def _shuffled_power_set_text(focal_first: bool = False) -> str:
     """A full 14-label power set, the frame and each entry's labels
-    shuffled, so its masks are renumbered after the decode."""
+    shuffled; written with ``"focal"`` first, its masks are renumbered
+    after the decode."""
     rng = random.Random(14)
     labels = [f"e{i}" for i in range(1, 15)]
     rng.shuffle(labels)
@@ -880,7 +881,30 @@ def _shuffled_power_set_text() -> str:
         rng.shuffle(elements)
         focal.append({"elements": elements, "mass": 1 / ((1 << 14) - 1)})
     rng.shuffle(labels)
+    if focal_first:
+        return json.dumps({"focal": focal, "frame": labels})
     return json.dumps({"frame": labels, "focal": focal})
+
+
+def _counting_renumbered(monkeypatch) -> list:
+    """Patch ``wire._renumbered`` to record each call's mask count; the
+    list of counts."""
+    calls = []
+    renumbered = wire._renumbered
+
+    def counted(masks, bits):
+        calls.append(len(masks))
+        return renumbered(masks, bits)
+
+    monkeypatch.setattr(wire, "_renumbered", counted)
+    return calls
+
+
+def _never_renumbered(monkeypatch) -> None:
+    def renumbered(masks, bits):
+        raise AssertionError("the labels were first seen in frame order")
+
+    monkeypatch.setattr(wire, "_renumbered", renumbered)
 
 
 class TestJsonFormat:
@@ -973,9 +997,10 @@ class TestJsonFormat:
         assert decoded == expected or (decoded is None and not plain)
         assert _parse_outcome(mass_from_json, text) == expected
 
-    def test_sparse_64_label_mass_first_seen_in_reverse(self):
+    @staticmethod
+    def _sparse_64_label_mass(focal_first: bool) -> tuple[str, MassFunction]:
         # the first entry lists the whole frame backwards, so every label's
-        # first-seen bit differs from its frame bit, through all 8 tables
+        # first-seen bit in the focal list differs from its frame bit
         frame = Frame(tuple(f"l{i}" for i in range(64)))
         masks = [(1 << 64) - 1, 1, 1 << 8, 1 << 63, 0xFF << 56, 0x5555555555555555,
                  0x0123456789ABCDEF, 1 << 31 | 1 << 32]
@@ -985,9 +1010,22 @@ class TestJsonFormat:
         )
         focal = [{"elements": list(Subset(frame, mask).members)[::-1], "mass": mass}
                  for mask, mass in zip(masks, masses)]
-        text = json.dumps({"frame": list(frame.labels), "focal": focal})
+        if focal_first:
+            return json.dumps({"focal": focal, "frame": list(frame.labels)}), expected
+        return json.dumps({"frame": list(frame.labels), "focal": focal}), expected
+
+    def test_sparse_64_label_mass_first_seen_in_reverse(self):
+        text, expected = self._sparse_64_label_mass(focal_first=False)
         assert wire._mask_decoded(text) == expected
         assert mass_from_json(text) == expected
+
+    def test_sparse_64_label_mass_first_seen_in_reverse_focal_first(self, monkeypatch):
+        # the frame comes last, so every mask is renumbered, up to the top bit
+        text, expected = self._sparse_64_label_mass(focal_first=True)
+        calls = _counting_renumbered(monkeypatch)
+        assert wire._mask_decoded(text) == expected
+        assert mass_from_json(text) == expected
+        assert calls == [8, 8]
 
     @given(data=st.data(), size=st.integers(min_value=1, max_value=64))
     @settings(max_examples=200, deadline=None)
@@ -1003,33 +1041,101 @@ class TestJsonFormat:
     def test_mass_to_json_power_set_needs_no_renumbering(self, monkeypatch):
         mass = max_deng(12).to_mass()
         text = mass_to_json(mass)
-
-        def renumbered(masks, bits):
-            raise AssertionError("the labels were first seen in frame order")
-
-        monkeypatch.setattr(wire, "_renumbered", renumbered)
+        _never_renumbered(monkeypatch)
         assert mass_from_json(text) == mass
 
-    def test_short_text_is_renumbered_by_the_mask_decode(self, monkeypatch):
-        # "d" is seen first, so every mask is renumbered onto the frame
-        text = json.dumps({"frame": ["a", "b", "c", "d"], "focal": [
+    def test_frame_first_shuffled_power_set_needs_no_renumbering(self, monkeypatch):
+        # the leading frame is numbered before the focal list is read
+        text = _shuffled_power_set_text()
+        _never_renumbered(monkeypatch)
+        assert len(mass_from_json(text)) == (1 << 14) - 1
+
+    @staticmethod
+    def _short_text(focal_first: bool) -> tuple[str, MassFunction]:
+        frame = ["a", "b", "c", "d"]
+        focal = [
             {"elements": ["d", "b"], "mass": 0.5},
             {"mass": 0.25, "elements": ["c"]},
             {"elements": ["c", "a", "d"], "mass": 0.25},
-        ]})
-        assert len(text) < 1000
-        frame = Frame(("a", "b", "c", "d"))
-        expected = MassFunction.from_assignments(frame, {
+        ]
+        if focal_first:
+            text = json.dumps({"focal": focal, "frame": frame})
+        else:
+            text = json.dumps({"frame": frame, "focal": focal})
+        frame = Frame(frame)
+        return text, MassFunction.from_assignments(frame, {
             frame.subset(("b", "d")): 0.5,
             frame.singleton("c"): 0.25,
             frame.subset(("a", "c", "d")): 0.25,
         })
+
+    def test_short_text_is_renumbered_by_the_mask_decode(self, monkeypatch):
+        text, expected = self._short_text(focal_first=False)
+        assert len(text) < 1000
 
         def strict(text):
             raise AssertionError("a valid text took the strict parse")
 
         monkeypatch.setattr(wire, "_strict_mass_from_json", strict)
         assert mass_from_json(text) == expected
+
+    def test_short_focal_first_text_is_renumbered_by_the_mask_decode(self, monkeypatch):
+        # "d" is seen first and the frame comes last, so every mask is
+        # renumbered onto the frame
+        text, expected = self._short_text(focal_first=True)
+        assert len(text) < 1000
+
+        def strict(text):
+            raise AssertionError("a valid text took the strict parse")
+
+        monkeypatch.setattr(wire, "_strict_mass_from_json", strict)
+        calls = _counting_renumbered(monkeypatch)
+        assert mass_from_json(text) == expected
+        assert calls == [3]
+
+    @pytest.mark.parametrize(
+        "prefix, leading",
+        [
+            (json.dumps([f"l{i}" for i in range(65)]), []),
+            ('["a", 1]', []),
+            ('["a", "b", "a"]', ["a", "b", "a"]),
+            ('{"a": "b"}', []),
+            ('["a", "b"', []),
+            ('"a"', []),
+            ("[]", []),
+        ],
+        ids=["65-labels", "non-string-label", "repeated-labels", "an-object", "truncated",
+             "a-string", "empty"],
+    )
+    def test_a_bad_leading_frame_parses_as_the_strict_path(self, prefix, leading):
+        # only a list of at most 64 strings is numbered first; the frame is
+        # then rejected as the strict path rejects it
+        for focal in ('[{"elements": ["a"], "mass": 1.0}]',
+                      '[{"elements": ["b", "a"], "mass": 0.5}, {"elements": ["b"], "mass": 0.5}]'):
+            text = '{"frame": %s, "focal": %s}' % (prefix, focal)
+            assert wire._leading_frame(text) == leading
+            expected = _parse_outcome(wire._strict_mass_from_json, text)
+            assert isinstance(expected, tuple)
+            assert _parse_outcome(mass_from_json, text) == expected
+
+    def test_a_leading_frame_nested_near_the_recursion_limit_parses_as_the_strict_path(self):
+        limit = sys.getrecursionlimit()
+        for depth in range(limit // 2, limit + 10):
+            text = '{"frame": %s, "focal": []}' % ("[" * depth + "]" * depth)
+            assert wire._leading_frame(text) == []
+            expected = _parse_outcome(lambda text: wire._strict_mass_from_json(text), text)
+            assert _parse_outcome(mass_from_json, text) == expected
+
+    def test_a_leading_frame_after_whitespace_seeds_the_numbering(self, monkeypatch):
+        text = ' \n\t{ \r\n "frame" \t:\n ["b", "a"], "focal": [' \
+            '{"elements": ["a"], "mass": 0.25}, {"elements": ["a", "b"], "mass": 0.75}]} \n'
+        assert wire._leading_frame(text) == ["b", "a"]
+        _never_renumbered(monkeypatch)
+        frame = Frame(("b", "a"))
+        expected = MassFunction.from_assignments(
+            frame, {frame.singleton("a"): 0.25, frame.full_set(): 0.75}
+        )
+        assert mass_from_json(text) == expected == wire._strict_mass_from_json(text)
 
     def test_repeated_label_collapses_on_both_paths(self):
         text = json.dumps({"frame": ["a", "b"], "focal": [{"elements": ["a", "a", "b"], "mass": 1.0}]})
@@ -1054,6 +1160,23 @@ class TestJsonFormat:
         mass, peak = _traced(mass_from_json, text)
         assert len(mass) == (1 << 14) - 1
         assert peak < 2.1 * len(text)
+
+    def test_focal_first_power_set_parse_keeps_no_string_per_label(self, monkeypatch):
+        text = _shuffled_power_set_text(focal_first=True)
+        calls = _counting_renumbered(monkeypatch)
+        mass, peak = _traced(mass_from_json, text)
+        assert len(mass) == (1 << 14) - 1
+        assert peak < 4 * len(text)
+        assert calls == [(1 << 14) - 1]
+
+    def test_focal_first_power_set_parse_keeps_only_its_columns(self, monkeypatch):
+        # the renumbered column is made after the focal list is freed
+        text = _shuffled_power_set_text(focal_first=True)
+        calls = _counting_renumbered(monkeypatch)
+        mass, peak = _traced(mass_from_json, text)
+        assert len(mass) == (1 << 14) - 1
+        assert peak < 2.1 * len(text)
+        assert calls == [(1 << 14) - 1]
 
     def test_labels_past_a_frame_cost_no_wider_masks(self):
         # numbering stops at 64 labels: the 20,000th unknown label would
@@ -1235,6 +1358,12 @@ class TestJsonBytes:
     def test_mass_to_json_matches_the_stdlib_encoder(self):
         for mass in _pinned_corpus():
             assert mass_to_json(mass) == _stdlib_json(mass)
+
+    def test_mass_to_json_without_focal_sets_matches_the_stdlib_encoder(self):
+        # only the unvalidated constructor makes such a mass
+        mass = MassFunction(Frame(("a", "b")), (), ())
+        assert mass_to_json(mass) == _stdlib_json(mass)
+        assert mass_to_json(mass).endswith('"focal": []\n}')
 
     def test_mass_to_json_makes_one_full_size_copy(self):
         # the entries and the one text they are joined into; joining them

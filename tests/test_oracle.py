@@ -1,6 +1,9 @@
 """Brute-force reference path against the grouped main path."""
 from __future__ import annotations
 
+import ast
+import inspect
+import math
 import random
 
 import pytest
@@ -11,6 +14,7 @@ from evidim import (
     FAMILIES,
     Frame,
     MassFunction,
+    Subset,
     brute_force_report,
     compare_reports,
     family_profile,
@@ -20,7 +24,34 @@ from evidim import (
     max_deng,
     uniform_powerset,
 )
+from evidim import oracle
 from evidim.cli import main
+
+
+def _per_entry_report(mass: MassFunction) -> DimensionReport:
+    """The oracle's sums as one Python loop over the focal sets."""
+    if len(mass.masks) == 1 and bin(mass.masks[0]).count("1") == 1:
+        return DimensionReport(0.0, 0.0, 0.0, True)
+    entropy_terms = []
+    split_terms = []
+    for mask, m in zip(mass.masks, mass.masses):
+        splits = 2 ** bin(mask).count("1") - 1
+        entropy_terms.append(-m * math.log2(m / splits))
+        split_terms.append(splits ** m)
+    entropy = math.fsum(entropy_terms)
+    split = math.log2(math.fsum(split_terms))
+    return DimensionReport(entropy, split, entropy / split, False)
+
+
+def _sparse_random_mass(rng: random.Random, n: int) -> MassFunction:
+    """Up to 40 random focal sets on a generic n-element frame."""
+    frame = Frame.generic(n)
+    masks = {rng.getrandbits(n) or 1 for _ in range(rng.randint(1, 40))}
+    weights = [rng.uniform(0.0, 1.0) ** rng.choice((1, 8)) + 1e-300 for _ in masks]
+    total = math.fsum(weights)
+    return MassFunction.from_assignments(
+        frame, [(Subset(frame, mask), w / total) for mask, w in zip(masks, weights)]
+    )
 
 
 class TestBruteForce:
@@ -52,6 +83,36 @@ class TestBruteForce:
         grouped = information_dimension_profile(profile)
         enumerated = brute_force_report(profile.to_mass())
         assert compare_reports(grouped, enumerated, 1e-10)
+
+
+class TestOracleBits:
+    def test_random_masses_match_a_per_entry_loop_bit_for_bit(self):
+        rng = random.Random(2021)
+        for n in range(2, 65):
+            for _ in range(20):
+                mass = _sparse_random_mass(rng, n)
+                assert repr(brute_force_report(mass)) == repr(_per_entry_report(mass))
+
+    def test_full_power_set_matches_a_per_entry_loop_bit_for_bit(self):
+        mass = random_mass(random.Random(12), 12, full_powerset=True)
+        assert len(mass) == (1 << 12) - 1
+        assert repr(brute_force_report(mass)) == repr(_per_entry_report(mass))
+
+    def test_degenerate_and_one_set_masses_match_a_per_entry_loop(self):
+        frame = Frame.generic(3)
+        for mask in range(1, 8):
+            mass = MassFunction.from_assignments(frame, {Subset(frame, mask): 1.0})
+            assert repr(brute_force_report(mass)) == repr(_per_entry_report(mass))
+
+    def test_shares_only_the_value_types_with_the_main_path(self):
+        tree = ast.parse(inspect.getsource(oracle))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("evidim") for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.level or "evidim" in (node.module or "")):
+                imported[node.module] = {alias.name for alias in node.names}
+        assert imported == {"core": {"MassFunction"}, "dimension": {"DimensionReport"}}
 
 
 class TestCompareReports:
