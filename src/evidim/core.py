@@ -7,13 +7,14 @@ each label to its bit through a dict built once.  A :class:`MassFunction`
 is stored flat, as parallel ``masks`` and ``masses`` tuples sorted by mask;
 :class:`Subset` objects are built only at API edges (``focal``,
 :meth:`Frame.subset`, error messages), never on the parse, expansion or
-kernel paths.  One private mask-level constructor,
-:meth:`MassFunction._from_masks`, owns the rules on masses, duplicate
-sets and the total; it takes parallel ``masks`` and ``masses`` columns,
-and the masks are nonempty by construction.  One bulk check accepts the
-common case in a few C-level passes over the columns: every mass a plain
-float, none negative, NaN or infinite, and the masks distinct.  Any
-other input goes entry by entry through :func:`_as_mass`, the one rule
+kernel paths.  Its one constructor, ``MassFunction(frame, masks,
+masses)``, owns every rule: the frame a :class:`Frame`, the columns of
+equal length, each mask an int naming a nonempty subset of the frame, the
+masses and duplicate sets, and the total.  The common case passes a few
+C-level passes over the columns: the masks' types, minimum and maximum,
+then every mass a plain float, none negative, NaN or infinite, and the
+masks distinct.  Any other input goes entry by entry, masks through
+:class:`Subset`'s rule and masses through :func:`_as_mass`, the one rule
 on a mass, so errors and their order are those of a single pass.  Zero
 masses are dropped, the rest sorted by mask through one index sort, and
 their exact sum checked, a sum too large for a float reading as ``inf``.
@@ -22,20 +23,20 @@ The :class:`CardinalityProfile` compressed form has no frame cap and
 carries a log-domain copy of each per-set mass so that very large frames
 survive double-precision underflow.  It is stored flat too, as parallel
 ``cards``, ``counts``, ``masses`` and ``log2_masses`` columns ascending in
-cardinality; :class:`ProfileRow` objects are built only for the ``rows``
-view.  It has one public constructor, :meth:`CardinalityProfile.from_counts`,
-which checks its plain input and takes each mass's log2.  It and the
-families, whose columns come from exact ratios, build through one private
-one, ``CardinalityProfile._from_columns``, which validates every profile
-and does each job on its layers once; ``CardinalityProfile(...)`` itself
+cardinality, and read only through them.  It has one public
+constructor, :meth:`CardinalityProfile.from_counts`, which checks its
+plain input and takes each mass's log2.  It and the families, whose
+columns come from exact ratios, build through one private one,
+``CardinalityProfile._from_columns``, which validates every profile and
+does each job on its layers once; ``CardinalityProfile(...)`` itself
 raises a ``TypeError`` that names ``from_counts``.  Set counts are exact
 ints: the families that fill every layer pass none, and each layer takes
 C(N, k) from one walk of the exact binomial recurrence
 :func:`_binomial_row`, up to N // 2 and mirrored; listed counts are
-checked against :func:`math.comb`, in C-level passes that fall back to a
-walk over the layers only to name the first bad one.  The log2 of each count, each
-layer's log2 weight (log2 count + log2 mass) and one order of the layers,
-largest weight first, are kept as derived slots, so that
+checked against :func:`math.comb`, in C-level passes that fall back to
+a walk over the layers only to name the first bad one.  The log2 of each
+count, each layer's log2 weight (log2 count + log2 mass) and one order
+of the layers, largest weight first, are kept as derived slots, so that
 :meth:`CardinalityProfile.total_mass` and the dimension kernel sort
 nothing.  A column is put in that order, or a full layer's count taken
 from the binomial row, by one ``operator.itemgetter`` call
@@ -46,8 +47,8 @@ the families read one table.
 All types are immutable after construction and safe to share across
 threads: ``__slots__`` classes on one private base, :class:`_Value`,
 whose listed fields give equality, hash and repr, and whose attributes
-cannot be assigned or deleted; :class:`ProfileRow` is a ``NamedTuple``.
-Importing the module loads no ``dataclasses``.
+cannot be assigned or deleted.  Importing the module loads no
+``dataclasses``.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ import math
 import reprlib
 from itertools import combinations, compress, repeat
 from operator import add, attrgetter, itemgetter, le
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 MAX_EXPLICIT_FRAME = 64
 PROFILE_LIMIT = 1024
@@ -248,6 +249,8 @@ class Subset(_Value):
     mask: int
 
     def __init__(self, frame: Frame, mask: int):
+        if type(mask) is not int:
+            raise EvidenceError(f"mask {_shown(mask)} is not an int")
         if mask <= 0:
             raise EmptySubsetError("the empty set cannot be a focal element")
         if mask >> frame.size:
@@ -295,8 +298,7 @@ class MassFunction(_Value):
     Stored flat: ``masks[i]`` is a focal set's membership mask over
     ``frame`` and ``masses[i]`` its mass, ascending by mask, so equal mass
     functions compare equal structurally and iteration order is
-    deterministic.  Construct through :meth:`from_assignments`, which
-    validates.
+    deterministic.  Every way in validates.
     """
 
     __slots__ = _fields = ("frame", "masks", "masses")
@@ -304,9 +306,43 @@ class MassFunction(_Value):
     masks: tuple[int, ...]
     masses: tuple[float, ...]
 
-    def __init__(self, frame: Frame, masks: tuple[int, ...], masses: tuple[float, ...]):
+    def __init__(self, frame: Frame, masks: Sequence[int], masses: Sequence):
+        """The one construction, from parallel ``masks`` and ``masses``
+        columns: each mask an int naming a nonempty subset of ``frame``,
+        masses :func:`_as_mass` rejects and duplicate masks are errors,
+        zero masses are dropped, the rest sorted by mask, and the total
+        checked.
+
+        The masks get three C-level checks, types first because a float
+        below the largest mask passes a minimum and a maximum; the masses
+        get one bulk check (:func:`_plain_columns`).  Only columns that
+        fail them are walked entry by entry (:class:`Subset`,
+        :func:`_checked_entries`), to raise the first error in entry
+        order.  Pickle and copy restore through ``__setstate__``, not
+        here.
+        """
+        if not isinstance(frame, Frame):
+            raise EvidenceError(f"frame {_shown(frame)} is not a Frame")
+        if len(masks) != len(masses):
+            raise EvidenceError(f"{len(masks)} masks do not pair up with {len(masses)} masses")
+        if not (
+            set(map(type, masks)) <= {int}
+            and min(masks, default=1) > 0
+            and not max(masks, default=0) >> frame.size
+        ):
+            for mask in masks:  # Subset raises at the first bad mask
+                Subset(frame, mask)
+        if not _plain_columns(masks, masses):
+            kept = _checked_entries(frame, masks, masses)
+            masks, masses = list(kept), list(kept.values())
+        index = range(len(masks))
+        if 0.0 in masses:
+            index = compress(index, map((0.0).__lt__, masses))
+        gather = _gather(sorted(index, key=masks.__getitem__))
+        masses = gather(masses)
+        _check_unit_total(masses, "focal masses")
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "masks", gather(masks))
         object.__setattr__(self, "masses", masses)
 
     @classmethod
@@ -315,7 +351,7 @@ class MassFunction(_Value):
         frame: Frame,
         assignments: Mapping[Subset, float] | Iterable[tuple[Subset, float]],
     ) -> MassFunction:
-        """Validated construction.
+        """Construction from ``(Subset, mass)`` pairs or a mapping.
 
         Zero masses are dropped (a subset with no mass is simply not
         focal); negative, NaN and infinite or float-overflowing masses,
@@ -335,35 +371,11 @@ class MassFunction(_Value):
         except Exception as exc:
             failure = exc
         else:
-            return cls._from_masks(frame, masks, masses)
+            return cls(frame, masks, masses)
         # one pass in entry order would have read the entries before the
         # failing one first, so their errors come first
         _checked_entries(frame, masks, masses)
         raise failure
-
-    @classmethod
-    def _from_masks(cls, frame: Frame, masks: list[int], masses: list) -> MassFunction:
-        """The one validated construction, from parallel ``masks`` and
-        ``masses`` columns whose masks are nonempty and lie within
-        ``frame``: masses :func:`_as_mass` rejects and duplicate masks are
-        errors, zero masses are dropped, the rest sorted by mask, and the
-        total checked.
-
-        The common case passes one bulk check (:func:`_plain_columns`);
-        any other input takes the per-entry loop
-        :func:`_checked_entries`, which raises the first error in entry
-        order.
-        """
-        if not _plain_columns(masks, masses):
-            kept = _checked_entries(frame, masks, masses)
-            masks, masses = list(kept), list(kept.values())
-        index = range(len(masks))
-        if 0.0 in masses:
-            index = compress(index, map((0.0).__lt__, masses))
-        gather = _gather(sorted(index, key=masks.__getitem__))
-        masses = gather(masses)
-        _check_unit_total(masses, "focal masses")
-        return cls(frame, gather(masks), masses)
 
     @property
     def focal(self) -> tuple[tuple[Subset, float], ...]:
@@ -412,27 +424,13 @@ class MassFunction(_Value):
         return CardinalityProfile.from_counts(self.frame.size, rows)
 
 
-class ProfileRow(NamedTuple):
-    """One cardinality layer, as the :attr:`CardinalityProfile.rows` view
-    shows it: how many focal sets, and the mass each carries.
-
-    ``log2_mass`` is the authoritative log-domain value; ``mass`` is its
-    double-precision image and may underflow to 0.0 for huge frames.
-    """
-
-    count: int
-    mass: float
-    log2_mass: float
-
-
 class CardinalityProfile(_Value):
     """Cardinality-symmetric mass function in compressed form.
 
     Stored flat, as parallel columns ascending in cardinality: layer ``i``
     holds ``counts[i]`` focal sets of cardinality ``cards[i]``, each
     carrying ``masses[i]``, with ``log2_masses[i]`` its log2.  Only
-    positive-count layers appear.  :attr:`rows` shows the same layers as
-    ``(k, ProfileRow)`` pairs.  Exact for any family in which all focal
+    positive-count layers appear.  Exact for any family in which all focal
     sets of equal cardinality share one mass.  Construct through
     :meth:`from_counts`, which validates; calling the class raises
     ``TypeError``.
@@ -553,16 +551,6 @@ class CardinalityProfile(_Value):
         _check_unit_total((profile.total_mass(),), "profile masses")
         return profile
 
-    @property
-    def rows(self) -> tuple[tuple[int, ProfileRow], ...]:
-        """``(k, ProfileRow)`` pairs, ascending in k."""
-        return tuple(
-            (card, ProfileRow(count, mass, log2_mass))
-            for card, count, mass, log2_mass in zip(
-                self.cards, self.counts, self.masses, self.log2_masses
-            )
-        )
-
     def total_mass(self) -> float:
         """Sum of count * mass over all rows, summed in the log domain;
         ``inf`` when the sum is too large for a float."""
@@ -597,7 +585,7 @@ class CardinalityProfile(_Value):
             )
         binomials = _binomial_row(self.frame_size)
         # highest bit first, so each layer's masks come out descending,
-        # a run the sort in _from_masks reverses in one pass
+        # a run the constructor's sort reverses in one pass
         bits = [1 << i for i in reversed(range(self.frame_size))]
         masks: list[int] = []
         masses: list[float] = []
@@ -610,7 +598,7 @@ class CardinalityProfile(_Value):
                 )
             masks += map(sum, combinations(bits, card))
             masses += repeat(mass, count)
-        return MassFunction._from_masks(frame, masks, masses)
+        return MassFunction(frame, masks, masses)
 
 
 def _check_frame_size(n: int):

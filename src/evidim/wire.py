@@ -21,16 +21,19 @@ mass)`` tuple per entry.  A text that opens with ``"frame"``, as
 "focal"}`` dict do, has that value decoded on its own first, and a list
 of at most 64 strings seeds the numbering in frame order, so the masks
 come out on the frame's bits.  Only when ``"focal"`` comes first are the
-masks renumbered onto the frame's bits once it is known, a few masks bit
-by bit and more by per-run tables.
+masks renumbered onto the frame's bits once it is known, by per-run
+tables.
 
-A text that does not decode to that form (an invalid document, or an
-entry with an unknown, repeated or non-string label, no labels, or a
-mass that is not a plain number) is parsed again by the strict path,
-which names the error: each entry becomes a plain dict whose keys are
-checked and whose labels :meth:`Frame._mask` looks up, so the errors,
-their messages and their order are that path's.  A valid entry that
-repeats a label is the one input it parses to a mass function.
+A text that does not decode to that form (an invalid document, an entry
+nested in another, or an entry with an unknown, repeated or non-string
+label or no labels) is parsed again by the strict path, which names the error: each entry
+becomes a plain dict whose keys are checked and whose labels
+:meth:`Frame._mask` looks up, so the errors, their messages and their
+order are that path's.  A valid entry that repeats a label is the one
+input it parses to a mass function.  The masses of a decoded text go to
+the :class:`MassFunction` constructor as written, in entry order on the
+same masks as the strict path's, so it rejects a mass that is not a
+real number as that path does.
 
 :func:`mass_to_json` builds one string per entry and joins them once,
 the head and the tail of the document riding on the first and the last
@@ -104,36 +107,11 @@ class _NotAMask(Exception):
     """An entry's labels repeat or are empty: the mask decode stops."""
 
 
-# below this many masks, renumbering bit by bit costs less than building the
-# tables: on 4 to 64 labels the two cost the same at 16 to 32 random masks
-_TABLES_MIN = 24
-
-
 def _renumbered(masks: list[int], bits: list[int]) -> list[int]:
-    """``masks`` with bit i of each replaced by ``bits[i]``, bit by bit
-    for a few masks and by per-run tables for more."""
-    if len(masks) < _TABLES_MIN:
-        return _renumbered_by_bit(masks, bits)
-    return _renumbered_by_tables(masks, bits)
-
-
-def _renumbered_by_bit(masks: list[int], bits: list[int]) -> list[int]:
-    """:func:`_renumbered` one set bit at a time, lowest first."""
-    renumbered = []
-    for mask in masks:
-        chosen = 0
-        while mask:
-            low = mask & -mask
-            chosen |= bits[low.bit_length() - 1]
-            mask ^= low
-        renumbered.append(chosen)
-    return renumbered
-
-
-def _renumbered_by_tables(masks: list[int], bits: list[int]) -> list[int]:
-    """:func:`_renumbered` by tables: each run of 8 bits gets a table
-    indexed by a mask's byte over that run, each entry the union of the
-    ``bits`` the byte selects, so a mask takes one lookup per run."""
+    """``masks`` with bit i of each replaced by ``bits[i]``, by tables: each
+    run of 8 bits gets a table indexed by a mask's byte over that run, each
+    entry the union of the ``bits`` the byte selects, so a mask takes one
+    lookup per run."""
     renumbered = [0] * len(masks)
     for start in range(0, len(bits), 8):
         table = [0]
@@ -175,7 +153,7 @@ def mass_from_json(text: str) -> MassFunction:
     """Parse the JSON mass-function format, strictly.
 
     The text is decoded to masks (:func:`_mask_decoded`); one that does
-    not decode to plain masks and masses is parsed entry by entry
+    not decode to masks is parsed entry by entry
     (:func:`_strict_mass_from_json`), which gives the same mass function
     or names the error.
     """
@@ -185,13 +163,12 @@ def mass_from_json(text: str) -> MassFunction:
 
 def _mask_decoded(text: str) -> MassFunction | None:
     """The mass function, when every focal entry decodes to a mask over
-    labels in first-seen order with a plain ``float`` or ``int`` mass and
-    every label is in the frame.  A leading frame (:func:`_leading_frame`)
-    is numbered first, so its labels are seen in frame order; otherwise
-    the masks are renumbered onto the frame's bits unless the labels were
-    first seen in frame order.  ``None`` for any other document that
-    decodes.  The errors it raises are those
-    :func:`_strict_mass_from_json` raises on the same text.
+    labels in first-seen order and every label is in the frame.  A leading
+    frame (:func:`_leading_frame`) is numbered first, so its labels are
+    seen in frame order; otherwise the masks are renumbered onto the
+    frame's bits unless the labels were first seen in frame order.
+    ``None`` for any other document that decodes.  The errors it raises
+    are those :func:`_strict_mass_from_json` raises on the same text.
 
     The hook appends each entry's mask and mass to two columns and leaves
     :data:`_DECODED` in its place, so a document is taken only when its
@@ -234,16 +211,12 @@ def _mask_decoded(text: str) -> MassFunction | None:
     frame, focal = _frame_and_focal(data)
     entries_only = len(focal) == len(masks) and focal.count(_DECODED) == len(focal)
     del data, focal  # a sentinel per entry, freed before the renumbering
-    if not (
-        entries_only
-        and set(map(type, masses)) <= {float, int}
-        and seen.keys() <= frame._bits.keys()
-    ):
+    if not (entries_only and seen.keys() <= frame._bits.keys()):
         return None
     labels = tuple(seen)
     if labels != frame.labels[:len(labels)]:
         masks = _renumbered(masks, list(map(frame._bits.__getitem__, labels)))
-    return MassFunction._from_masks(frame, masks, masses)
+    return MassFunction(frame, masks, masses)
 
 
 def _strict_mass_from_json(text: str) -> MassFunction:
@@ -262,7 +235,7 @@ def _strict_mass_from_json(text: str) -> MassFunction:
         if not isinstance(entry["elements"], list):
             raise EvidenceError('"elements" must be a list of labels')
         masks.append(mask_of(entry["elements"]))
-    return MassFunction._from_masks(frame, masks, [entry["mass"] for entry in focal])
+    return MassFunction(frame, masks, [entry["mass"] for entry in focal])
 
 
 def mass_to_json(mass: MassFunction) -> str:
@@ -305,8 +278,6 @@ def mass_to_json(mass: MassFunction) -> str:
     ]
     del elements
     head = '{\n  "frame": [\n    ' + ",\n    ".join(labels) + '\n  ],\n  "focal": ['
-    if not entries:  # only the unvalidated constructor makes such a mass
-        return head + "]\n}"
     # the head rides on the first entry and the tail on the last (a lone
     # entry takes both), so the one join makes the only full-size copy
     entries[0] = head + "\n    " + entries[0]

@@ -14,7 +14,6 @@ from evidim import (
     EvidenceError,
     Frame,
     FrameTooLargeError,
-    ProfileRow,
     UnknownFamilyError,
     family_profile,
     information_dimension_profile,
@@ -48,10 +47,15 @@ PINNED = {
 }
 
 
+def _layers(profile) -> list[tuple[int, int, float]]:
+    """``(cardinality, set count, per-set mass)`` of each layer."""
+    return list(zip(profile.cards, profile.counts, profile.masses))
+
+
 class TestGenerators:
     def test_vacuous_rows(self):
-        assert [(k, r.count, r.mass) for k, r in vacuous(2).rows] == [(2, 1, 1.0)]
-        assert [(k, r.count, r.mass) for k, r in vacuous(1).rows] == [(1, 1, 1.0)]
+        assert _layers(vacuous(2)) == [(2, 1, 1.0)]
+        assert _layers(vacuous(1)) == [(1, 1, 1.0)]
 
     def test_vacuous_dimension_is_one(self):
         assert information_dimension_profile(vacuous(20)).dimension == pytest.approx(
@@ -59,7 +63,7 @@ class TestGenerators:
         )
 
     def test_uniform_bayesian_rows(self):
-        assert [(k, r.count, r.mass) for k, r in uniform_bayesian(4).rows] == [(1, 4, 0.25)]
+        assert _layers(uniform_bayesian(4)) == [(1, 4, 0.25)]
 
     def test_uniform_bayesian_reference_values(self):
         report = information_dimension_profile(uniform_bayesian(6))
@@ -75,9 +79,7 @@ class TestGenerators:
             assert uniform_bayesian(n).to_mass().is_bayesian()
 
     def test_uniform_powerset_rows(self):
-        rows = uniform_powerset(3).rows
-        assert [(k, r.count) for k, r in rows] == [(1, 3), (2, 3), (3, 1)]
-        assert all(r.mass == 1 / 7 for _, r in rows)
+        assert _layers(uniform_powerset(3)) == [(1, 3, 1 / 7), (2, 3, 1 / 7), (3, 1, 1 / 7)]
 
     def test_uniform_powerset_reference_values(self):
         assert information_dimension_profile(uniform_powerset(4)).dimension == pytest.approx(
@@ -89,9 +91,7 @@ class TestGenerators:
         assert information_dimension_profile(uniform_powerset(1)).degenerate
 
     def test_max_deng_two_masses(self):
-        rows = dict(max_deng(2).rows)
-        assert rows[1].count == 2 and rows[1].mass == 1 / 5
-        assert rows[2].count == 1 and rows[2].mass == 3 / 5
+        assert _layers(max_deng(2)) == [(1, 2, 1 / 5), (2, 1, 3 / 5)]
 
     def test_max_deng_reference_values(self):
         assert information_dimension_profile(max_deng(3)).dimension == pytest.approx(
@@ -108,10 +108,10 @@ class TestExactness:
             for name in FAMILIES:
                 profile = family_profile(name, n)
                 total = Fraction(0)
-                for k, row in profile.rows:
+                for k, count in zip(profile.cards, profile.counts):
                     num, den = _rational_mass(name, n, k)
-                    assert row.count == _expected_count(name, n, k)
-                    total += row.count * Fraction(num, den)
+                    assert count == _expected_count(name, n, k)
+                    total += count * Fraction(num, den)
                 assert total == 1
 
     def test_float_mass_sums_within_tolerance(self):
@@ -173,8 +173,9 @@ class TestBinomialCounts:
     @pytest.mark.parametrize("generator", [uniform_powerset, max_deng])
     def test_row_counts_are_binomials(self, generator):
         for n in [*range(1, 65), 511, 512, 1023, 1024]:
-            counts = [(k, row.count) for k, row in generator(n).rows]
-            assert counts == [(k, math.comb(n, k)) for k in range(1, n + 1)], n
+            profile = generator(n)
+            assert profile.cards == tuple(range(1, n + 1)), n
+            assert profile.counts == tuple(math.comb(n, k) for k in profile.cards), n
 
     @pytest.mark.parametrize("family, n", sorted(PINNED))
     def test_pinned_values(self, family, n):
@@ -187,16 +188,15 @@ class TestFlatColumns:
     SIZES = (1, 2, 3, 17, 200, 1024)
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
-    def test_rows_view_matches_columns(self, name):
+    def test_columns_are_parallel_and_ascending(self, name):
         for n in self.SIZES:
             profile = family_profile(name, n)
-            rows = profile.rows
-            cards = [k for k, _ in rows]
-            assert cards == list(profile.cards) == sorted(set(cards)), n
-            assert all(type(row) is ProfileRow for _, row in rows), n
-            assert tuple(row.count for _, row in rows) == profile.counts, n
-            assert tuple(row.mass for _, row in rows) == profile.masses, n
-            assert tuple(row.log2_mass for _, row in rows) == profile.log2_masses, n
+            cards = list(profile.cards)
+            assert cards == sorted(set(cards)), n
+            columns = (profile.cards, profile.counts, profile.masses, profile.log2_masses)
+            assert all(type(column) is tuple for column in columns), n
+            assert {len(column) for column in columns} == {len(cards)}, n
+            assert all(type(count) is int for count in profile.counts), n
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_columns_are_the_exact_ratios(self, name):

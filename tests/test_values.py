@@ -20,7 +20,6 @@ from evidim import (
     Frame,
     MassFunction,
     ProbabilityDistribution,
-    ProfileRow,
     Subset,
     detect_limit,
     information_dimension,
@@ -48,14 +47,13 @@ def _values() -> dict:
         "ConvergenceRow": table.rows[-1],
         "ConvergenceTable": table,
         "ConvergenceVerdict": detect_limit(table, 2, 0.5),
-        "ProfileRow": profile.rows[0][1],
     }
 
 
 VALUES = _values()
 TYPES = (
     Frame, Subset, MassFunction, CardinalityProfile, ProbabilityDistribution, DimensionReport,
-    ConvergenceRow, ConvergenceTable, ConvergenceVerdict, ProfileRow,
+    ConvergenceRow, ConvergenceTable, ConvergenceVerdict,
 )
 COPIES = {
     "pickle": lambda value: pickle.loads(pickle.dumps(value)),
@@ -91,6 +89,19 @@ class TestCopies:
         copied = COPIES[how](VALUES["MassFunction"])
         assert copied.frame._bits == frame._bits
         assert copied.frame.subset(["b"]).mask == 2
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("name", ["MassFunction", "CardinalityProfile"])
+def test_copies_restore_without_the_constructor(name, how, monkeypatch):
+    # a copy is already valid; it restores its slots through __setstate__
+    value = VALUES[name]
+
+    def constructor(self, *args, **kwargs):
+        raise AssertionError(f"{name} was constructed again")
+
+    monkeypatch.setattr(type(value), "__init__", constructor)
+    assert COPIES[how](value) == value
 
 
 def _fields(value) -> list[str]:
@@ -156,9 +167,6 @@ REPRS = {
     "ConvergenceVerdict": (
         "ConvergenceVerdict(converged=True, limit_estimate=1.36717731166416, "
         "achieved_at_n=2, tolerance=0.5)"
-    ),
-    "ProfileRow": (
-        "ProfileRow(count=3, mass=0.05263157894736842, log2_mass=-4.247927513443585)"
     ),
 }
 
