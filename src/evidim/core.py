@@ -31,18 +31,21 @@ columns come from exact ratios, build through one private one,
 does each job on its layers once; ``CardinalityProfile(...)`` itself
 raises a ``TypeError`` that names ``from_counts``.  Set counts are exact
 ints: the families that fill every layer pass none, and each layer takes
-C(N, k) from one walk of the exact binomial recurrence
-:func:`_binomial_row`, up to N // 2 and mirrored; listed counts are
-checked against :func:`math.comb`, in C-level passes that fall back to
-a walk over the layers only to name the first bad one.  The log2 of each
-count, each layer's log2 weight (log2 count + log2 mass) and one order
-of the layers, largest weight first, are kept as derived slots, so that
-:meth:`CardinalityProfile.total_mass` and the dimension kernel sort
-nothing.  A column is put in that order, or a full layer's count taken
-from the binomial row, by one ``operator.itemgetter`` call
-(:func:`_gather`).  The split table ``_SPLITS``, log2(2^k - 1) for k up
-to :data:`PROFILE_LIMIT`, lives here, so that the dimension kernel and
-the families read one table.
+C(N, k) from one exact binomial row, :func:`_binomial_row`, which takes
+one Pascal step from the row it returned last when that row was for
+N - 1, as in a sweep, and otherwise walks the recurrence up to N // 2 and
+mirrors it; listed counts are checked against :func:`math.comb`, in
+C-level passes that fall back to a walk over the layers only to name the
+first bad one.  The log2 of each count, each layer's weight (count *
+mass, formed once as 2^(log2 count + log2 mass)) and one order of the
+layers, largest weight first, are kept as derived slots, so that
+:meth:`CardinalityProfile.total_mass`, the ``math.fsum`` of the weights,
+and the dimension kernel sort nothing and form no weight again.  A
+column is put in that order, or a full layer's count taken from the
+binomial row, by one ``operator.itemgetter`` call (:func:`_gather`).
+The tables ``_NUMERATORS``, 2^k - 1 as exact ints, and ``_SPLITS``, its
+log2, for k up to :data:`PROFILE_LIMIT`, live here, so that the
+dimension kernel and the families read one copy.
 
 All types are immutable after construction and safe to share across
 threads: ``__slots__`` classes on one private base, :class:`_Value`,
@@ -71,15 +74,20 @@ _SHOWN = reprlib.Repr()
 _SHOWN.maxlevel = 2
 _SHOWN.maxstring = _SHOWN.maxlong = _SHOWN.maxother = 82
 
-# log2(2^k - 1) for k = 0..PROFILE_LIMIT, the widest family profile, 0.0 at
-# k = 0 unused; the dimension kernel reads its split column here and
-# families.max_deng its log2 numerators.  Past k = 53, 2^k - 1 rounds to 2^k
-# in a double, so math.log2 gives k exactly: the entries past the explicit
-# frame cap are float(k), the same bits without a k-bit integer, and a
-# wider profile reads a larger k as float(k) too.
+# 2^k - 1 as an exact int for k = 0..PROFILE_LIMIT, the widest family
+# profile: families.max_deng divides each by its normalizer, so a sweep
+# builds no numerator per layer
+_NUMERATORS = [(1 << k) - 1 for k in range(PROFILE_LIMIT + 1)]
+
+# log2(2^k - 1) for the same k, 0.0 at k = 0 unused; the dimension kernel
+# reads its split column here and families.max_deng its log2 numerators.
+# Past k = 53, 2^k - 1 rounds to 2^k in a double, so math.log2 gives k
+# exactly: the entries past the explicit frame cap are float(k), the same
+# bits without a k-bit integer, and a wider profile reads a larger k as
+# float(k) too.
 _SPLITS = [
     0.0,
-    *[math.log2((1 << k) - 1) for k in range(1, MAX_EXPLICIT_FRAME + 1)],
+    *map(math.log2, _NUMERATORS[1:MAX_EXPLICIT_FRAME + 1]),
     *map(float, range(MAX_EXPLICIT_FRAME + 1, PROFILE_LIMIT + 1)),
 ]
 
@@ -437,18 +445,18 @@ class CardinalityProfile(_Value):
     """
 
     _fields = ("frame_size", "cards", "counts", "masses", "log2_masses")
-    __slots__ = (*_fields, "_log2_counts", "_order", "_log2_weights")
+    __slots__ = (*_fields, "_log2_counts", "_order", "_weights")
     frame_size: int
     cards: tuple[int, ...]
     counts: tuple[int, ...]
     masses: tuple[float, ...]
     log2_masses: tuple[float, ...]
     # derived while validating, so not compared: the log2 of each count, the
-    # layer indices by log2 weight (log2 count + log2 mass), largest first,
-    # and those weights in that order
+    # layer indices by weight, count * mass formed as 2^(log2 count + log2
+    # mass), largest first, and those weights in that order
     _log2_counts: tuple[float, ...]
     _order: tuple[int, ...]
-    _log2_weights: tuple[float, ...]
+    _weights: tuple[float, ...]
 
     def __init__(self, *args, **kwargs):
         # every profile is validated: from_counts and _from_columns build
@@ -520,9 +528,10 @@ class CardinalityProfile(_Value):
         layers taking their counts from one binomial row and listed counts
         checked against :func:`math.comb`; only a profile that fails them
         is walked layer by layer, to name its first bad layer.  Each
-        layer's log2 weight, log2 count + log2 mass, is formed once and
-        the layers ordered once, largest weight first, for
-        :meth:`total_mass` and the dimension kernel.
+        layer's weight, 2^(log2 count + log2 mass), is formed once and the
+        layers ordered once, largest weight first, for :meth:`total_mass`
+        and the dimension kernel; a weight too large for a float makes
+        the total ``inf``.
         """
         _check_frame_size(frame_size)
         valid = min(cards, default=1) >= 1 and max(cards, default=1) <= frame_size
@@ -537,7 +546,10 @@ class CardinalityProfile(_Value):
         if not valid:
             raise _first_bad_layer(frame_size, cards, counts)
         log2_counts = tuple(map(math.log2, counts))
-        weights = list(map(add, log2_counts, log2_masses))
+        try:
+            weights = list(map(pow, repeat(2.0), map(add, log2_counts, log2_masses)))
+        except OverflowError:
+            raise NonUnitTotalError("profile masses sum to inf, expected 1") from None
         order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
         profile = cls.__new__(cls)
         object.__setattr__(profile, "frame_size", frame_size)
@@ -547,21 +559,16 @@ class CardinalityProfile(_Value):
         object.__setattr__(profile, "log2_masses", tuple(log2_masses))
         object.__setattr__(profile, "_log2_counts", log2_counts)
         object.__setattr__(profile, "_order", tuple(order))
-        object.__setattr__(profile, "_log2_weights", _gather(order)(weights))
-        _check_unit_total((profile.total_mass(),), "profile masses")
+        object.__setattr__(profile, "_weights", _gather(order)(weights))
+        _check_unit_total(profile._weights, "profile masses")
         return profile
 
     def total_mass(self) -> float:
-        """Sum of count * mass over all rows, summed in the log domain;
-        ``inf`` when the sum is too large for a float."""
-        if not self.cards:
-            return 0.0
+        """Sum of count * mass over all layers: the correctly rounded sum
+        of the layer weights, 2^(log2 count + log2 mass) each."""
         # the weights are kept largest first: math.fsum stays cheap when
         # magnitudes fall, and its result is the same bits in any order
-        try:
-            return 2.0 ** _logsumexp2(self._log2_weights)
-        except OverflowError:
-            return math.inf
+        return math.fsum(self._weights)
 
     def to_mass(self, frame: Frame | None = None) -> MassFunction:
         """Expand into an explicit mass function, enumerating every subset
@@ -610,17 +617,36 @@ def _check_frame_size(n: int):
         raise EvidenceError("frame size must be at least 1")
 
 
-def _binomial_row(n: int) -> list[int]:
-    """C(n, 0), C(n, 1), ..., C(n, n) as exact ints, by the recurrence
-    C(n, k) = C(n, k - 1) (n - k + 1) / k, whose division is exact, walked
-    to n // 2; the rest mirrors it, C(n, k) = C(n, n - k)."""
-    count = 1
-    row = [count]
-    for k in range(1, n // 2 + 1):
-        count = count * (n - k + 1) // k
-        row.append(count)
-    # an even n has one middle entry, which the mirror must not repeat
-    return row + row[::-1][1 - n % 2:]
+# the last row _binomial_row returned, with its n: one immutable pair,
+# replaced in one assignment, so a racing caller reads a consistent pair
+_last_row: tuple[int, tuple[int, ...]] = (0, (1,))
+
+
+def _binomial_row(n: int) -> tuple[int, ...]:
+    """C(n, 0), C(n, 1), ..., C(n, n) as exact ints.
+
+    The row for n - 1 returned last takes one Pascal step, C(n, k) =
+    C(n - 1, k - 1) + C(n - 1, k), the order a sweep asks in; the row for
+    n returned last is returned again.  Any other n walks the recurrence
+    C(n, k) = C(n, k - 1) (n - k + 1) / k, whose division is exact, to
+    n // 2 and mirrors the rest, C(n, k) = C(n, n - k).
+    """
+    global _last_row
+    last, row = _last_row
+    if last == n:
+        return row
+    if last == n - 1:
+        row = (1, *map(add, row, row[1:]), 1)
+    else:
+        count = 1
+        half = [count]
+        for k in range(1, n // 2 + 1):
+            count = count * (n - k + 1) // k
+            half.append(count)
+        # an even n has one middle entry, which the mirror must not repeat
+        row = (*half, *half[::-1][1 - n % 2:])
+    _last_row = (n, row)
+    return row
 
 
 def _gather(index: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -736,9 +762,3 @@ def _check_unit_total(terms: Iterable[float], what: str):
         total = math.inf
     if abs(total - 1.0) > MASS_TOLERANCE:
         raise NonUnitTotalError(f"{what} sum to {total!r}, expected 1")
-
-
-def _logsumexp2(values: list[float]) -> float:
-    """log2 of a sum of powers of two, shifted to avoid overflow."""
-    top = max(values)
-    return top + math.log2(math.fsum([2.0 ** (v - top) for v in values]))

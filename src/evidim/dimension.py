@@ -20,27 +20,32 @@ a profile one entry per cardinality layer and a distribution one entry
 per outcome.  No row object is built per entry.  A profile's columns
 follow the order its construction kept, largest layer weight first, each
 gathered by one ``operator.itemgetter`` call, and reuse the weights it
-formed then, so the kernel sorts nothing.  The split column reads
-log2(2^k - 1) from ``core._SPLITS``, a table up to the widest family
-profile, k = ``PROFILE_LIMIT``.  Another base is a display choice, one
-division the caller makes.
+formed then, so the kernel sorts nothing and forms no power of two for
+the entropy; an explicit mass or a distribution hands it the same powers,
+2^(log2 m), as a lazy column.  The split column reads log2(2^k - 1) from
+``core._SPLITS``, a table up to the widest family profile, k =
+``PROFILE_LIMIT``.  Another base is a display choice, one division the
+caller makes.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     _SPLITS, CardinalityProfile, MassFunction, ProbabilityDistribution, _check_frame_size,
-    _gather, _logsumexp2,
+    _gather,
 )
 
 # Every sum runs over five parallel columns, one entry per layer of focal
 # sets that share one mass: s, log2(2^k - 1) for the cardinality k (0.0
 # exactly when k is 1); lc, log2 of the focal-set count; lm, log2 of the
-# per-set mass; m, the per-set mass; and w, the layer's log2 weight lc + lm.
+# per-set mass; m, the per-set mass; and w, the layer's weight, count *
+# mass formed as 2^(lc + lm).  The kernel reads w once, so it may be a
+# lazy iterable.
 Columns = tuple[
-    Sequence[float], Sequence[float], Sequence[float], Sequence[float], Sequence[float]
+    Sequence[float], Sequence[float], Sequence[float], Sequence[float], Iterable[float]
 ]
 
 
@@ -57,14 +62,14 @@ class DimensionReport(NamedTuple):
 
 def _mass_columns(mass: MassFunction) -> Columns:
     # each set is a layer of one, and 0.0 + x is exact, so the count column
-    # of 0.0 leaves every term as one set's term and every weight its lm.
+    # of 0.0 leaves every term as one set's term and every weight 2^lm.
     # The log2 masses come last: taken first, they left the benchmark's peak
-    # RSS on a full 16-element power set about 2 MB higher in most runs,
-    # with the same traced peak
+    # RSS on a full 16-element power set higher in most runs, with the same
+    # traced peak
     splits = [_SPLITS[mask.bit_count()] for mask in mass.masks]
     zeros = [0.0] * len(mass.masks)
     log2_masses = list(map(math.log2, mass.masses))
-    return splits, zeros, log2_masses, mass.masses, log2_masses
+    return splits, zeros, log2_masses, mass.masses, map(pow, repeat(2.0), log2_masses)
 
 
 def _profile_columns(profile: CardinalityProfile) -> Columns:
@@ -81,30 +86,34 @@ def _profile_columns(profile: CardinalityProfile) -> Columns:
         gather(profile._log2_counts),
         gather(profile.log2_masses),
         gather(profile.masses),
-        profile._log2_weights,
+        profile._weights,
     )
 
 
 def _probability_columns(dist: ProbabilityDistribution) -> Columns:
     zeros = [0.0] * dist.size
     log2_masses = list(map(math.log2, dist.probabilities))
-    return zeros, zeros, log2_masses, dist.probabilities, log2_masses
+    return zeros, zeros, log2_masses, dist.probabilities, map(pow, repeat(2.0), log2_masses)
 
 
 def _bits(splits: Sequence[float], log2_counts: Sequence[float],
           log2_masses: Sequence[float], masses: Sequence[float],
-          log2_weights: Sequence[float]) -> tuple[float, float]:
+          weights: Iterable[float]) -> tuple[float, float]:
     """(Deng entropy, split scale), both in bits, over nonempty columns.
 
-    Layer weights 2^w, w = lc + lm, stay finite where count * mass would
-    overflow or underflow a double; the split scale is a log-sum of
+    Layer weights formed as 2^(lc + lm) stay finite where count * mass
+    would overflow or underflow a double; the split scale is a log-sum of
     count * (2^k - 1)^mass terms, each kept as its log2, lc + m * s.
     """
-    entropy = math.fsum([
-        2.0 ** w * (s - lm) for s, lm, w in zip(splits, log2_masses, log2_weights)
-    ])
+    entropy = math.fsum([w * (s - lm) for s, lm, w in zip(splits, log2_masses, weights)])
     split = _logsumexp2([lc + m * s for s, lc, m in zip(splits, log2_counts, masses)])
     return entropy, split
+
+
+def _logsumexp2(values: list[float]) -> float:
+    """log2 of a sum of powers of two, shifted to avoid overflow."""
+    top = max(values)
+    return top + math.log2(math.fsum([2.0 ** (v - top) for v in values]))
 
 
 def _report(columns: Columns) -> DimensionReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .core import EvidenceError
+from .core import EvidenceError, _check_frame_size
 from .dimension import information_dimension_profile
 from .families import PROFILE_LIMIT, family_profile
 
@@ -44,8 +44,11 @@ class ConvergenceVerdict(NamedTuple):
 
 
 def run_convergence(family: str, n_min: int, n_max: int) -> ConvergenceTable:
-    """One row per N in [n_min, n_max], evaluated through the profile path."""
-    if not 1 <= n_min <= n_max:
+    """One row per N in [n_min, n_max], evaluated through the profile path;
+    each bound is a frame size, an int (not a bool) of at least 1."""
+    _check_frame_size(n_min)
+    _check_frame_size(n_max)
+    if n_min > n_max:
         raise EvidenceError(f"invalid sweep range {n_min}..{n_max}")
     if n_max > PROFILE_LIMIT:
         raise EvidenceError(f"sweep range exceeds the profile limit {PROFILE_LIMIT}")

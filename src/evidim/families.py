@@ -5,10 +5,11 @@ exactly, and rational construction keeps their total mass exactly 1.  Each
 family hands its layers to the profile as columns, with each per-set mass
 num/den and its log2 taken as log2(num) - log2(den) from the exact ints, so
 the log2 stays accurate where num/den underflows a double; max-deng reads
-each log2(2^k - 1) from ``core._SPLITS``, which holds it for every k up to
-:data:`PROFILE_LIMIT`.  The two families that fill every layer pass no
-counts: the profile takes each C(n, k) from the one binomial row it walks to
-validate, so a row is walked once.
+each numerator 2^k - 1 from ``core._NUMERATORS`` and its log2 from
+``core._SPLITS``, which hold them for every k up to :data:`PROFILE_LIMIT`.
+The two families that fill every layer pass no counts: the profile takes
+each C(n, k) from the one binomial row it builds to validate, so a row is
+built once, and in a sweep by one Pascal step from the row before.
 """
 from __future__ import annotations
 
@@ -16,8 +17,8 @@ import math
 from typing import Callable
 
 from .core import (
-    _SPLITS, PROFILE_LIMIT, CardinalityProfile, EvidenceError, FrameTooLargeError,
-    _check_frame_size,
+    _NUMERATORS, _SPLITS, PROFILE_LIMIT, CardinalityProfile, EvidenceError,
+    FrameTooLargeError, _check_frame_size,
 )
 
 
@@ -56,13 +57,13 @@ def max_deng(n: int) -> CardinalityProfile:
     _check_size(n, PROFILE_LIMIT)
     den = 3 ** n - 2 ** n
     log2_den = math.log2(den)
-    # _ratio's values, with log2(den) taken once and each log2(2^k - 1) read
-    # from the split table, which holds math.log2((1 << k) - 1) for k <= n
+    # _ratio's values, with log2(den) taken once and each 2^k - 1 and its
+    # log2 read from the tables, which hold them for k <= n
     return CardinalityProfile._from_columns(
         n,
         range(1, n + 1),
         None,
-        [((1 << k) - 1) / den for k in range(1, n + 1)],
+        [num / den for num in _NUMERATORS[1:n + 1]],
         [s - log2_den for s in _SPLITS[1:n + 1]],
     )
 

@@ -7,6 +7,7 @@ import math
 import random
 import re
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -482,8 +483,8 @@ class TestProfiles:
     def test_total_mass_sums_largest_first(self):
         # math.fsum slows as its partials list grows, and the layer weights of
         # max_deng(1024) span about 800 binary orders: summed smallest first,
-        # as stored, the weights alone cost more than total_mass, log2 terms,
-        # sort and shift included, when it sums them largest first
+        # as stored, the weights cost more than total_mass, which sums the
+        # same weights largest first
         profile = max_deng(1024)
         ascending = [
             2.0 ** (math.log2(count) + log2_mass)
@@ -500,10 +501,11 @@ class TestProfiles:
 
         assert best_of_five(profile.total_mass) < best_of_five(lambda: math.fsum(ascending))
         # the weights are formed and ordered once, when the profile is built
-        assert profile._log2_weights == tuple(sorted(profile._log2_weights, reverse=True))
-        assert profile._log2_weights == tuple(
-            profile._log2_counts[i] + profile.log2_masses[i] for i in profile._order
+        assert profile._weights == tuple(sorted(profile._weights, reverse=True))
+        assert profile._weights == tuple(
+            2.0 ** (profile._log2_counts[i] + profile.log2_masses[i]) for i in profile._order
         )
+        assert profile.total_mass() == math.fsum(ascending)
         assert sorted(profile._order) == list(range(len(profile.cards)))
 
     def test_partial_layer_rejected(self):
@@ -583,7 +585,57 @@ class TestProfiles:
     def test_binomial_row_is_exact(self, n):
         # the row walks to n // 2 and mirrors the rest, the middle entry of an
         # even n once
-        assert _binomial_row(n) == [math.comb(n, k) for k in range(n + 1)]
+        assert _binomial_row(n) == tuple(math.comb(n, k) for k in range(n + 1))
+
+    @pytest.mark.parametrize("order", [
+        [*range(1, 71)],  # ascending: a Pascal step from each row to the next
+        [70, 69, 12, 3, 1],  # jumps down: each a walk
+        [9, 9, 10, 10, 10],  # repeats: the row kept from the call before
+        [1023, 1024, 1023, 1024],
+        [5, 6, 40, 41, 42, 2, 1, 2, 64],
+    ])
+    def test_binomial_row_is_exact_in_any_call_order(self, order):
+        _binomial_row(order[0] + 3)  # no step leads into the first row
+        for n in order:
+            assert _binomial_row(n) == tuple(math.comb(n, k) for k in range(n + 1)), n
+
+    def test_binomial_rows_returned_cannot_change_a_later_row(self):
+        row = _binomial_row(10)
+        with pytest.raises(TypeError):
+            row[3] = 0
+        with pytest.raises(AttributeError):
+            row.append(1)
+        # the kept row, then a step from it
+        assert _binomial_row(10) == tuple(math.comb(10, k) for k in range(11))
+        assert _binomial_row(11) == tuple(math.comb(11, k) for k in range(12))
+
+    def test_binomial_rows_stay_exact_under_racing_threads(self):
+        # the kept (n, row) pair is replaced in one assignment, so a thread
+        # switched out mid-step never pairs one n with another n's row
+        rows = {n: tuple(math.comb(n, k) for k in range(n + 1)) for n in range(1, 42)}
+        wrong = []
+
+        def sweep(seed):
+            # every thread sweeps one range, so they often ask for one n or
+            # the next, and step from a row another thread kept
+            rng = random.Random(seed)
+            for _ in range(150):
+                for n in range(rng.randrange(1, 3), 42):
+                    if _binomial_row(n) != rows[n]:
+                        wrong.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sweep, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     @pytest.mark.parametrize("family", [max_deng, uniform_powerset])
     def test_full_layer_families_walk_one_binomial_row(self, family, monkeypatch):
@@ -642,7 +694,7 @@ class TestProfiles:
 
     def test_overflowing_total_is_not_one(self):
         # count * mass = 2^1150 overflows a double; OverflowError escaped
-        with pytest.raises(NonUnitTotalError):
+        with pytest.raises(NonUnitTotalError, match=r"^profile masses sum to inf, expected 1$"):
             CardinalityProfile.from_counts(200, {100: (2**150, 2.0**1000)})
 
     @pytest.mark.parametrize(

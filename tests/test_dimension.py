@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import compute_by_base, random_mass
@@ -266,13 +266,14 @@ def _log2_sum(exponents: list[float]) -> float:
 
 def _ascending_sums(rows: dict[int, tuple[int, float]]) -> tuple[float, float, float]:
     """(Deng entropy, split scale, total mass) by the kernel's formulas, each
-    an exact sum over the layers in ascending cardinality."""
+    an exact sum over the layers in ascending cardinality; the total is the
+    correctly rounded sum of the layer weights 2^(lc + lm)."""
     layers = [
         (math.log2((1 << card) - 1), math.log2(count), math.log2(mass), mass)
         for card, (count, mass) in sorted(rows.items())
     ]
     entropy, split = _row_sums(layers)
-    return entropy, split, 2.0 ** _log2_sum([lc + lm for _, lc, lm, _ in layers])
+    return entropy, split, math.fsum([2.0 ** (lc + lm) for _, lc, lm, _ in layers])
 
 
 def _assert_report_matches_columns(profile: CardinalityProfile):
@@ -317,6 +318,7 @@ def explicit_masses(draw) -> MassFunction:
 
 class TestSumOrder:
     @given(case=sparse_profile_rows())
+    @example(case=(2, {1: (1, 0.998046875), 2: (1, 0.001953125)}))
     @settings(max_examples=80, deadline=None)
     def test_profile_sums_match_ascending_order_bit_for_bit(self, case):
         # the profile path sums its terms largest first; math.fsum is
@@ -331,6 +333,13 @@ class TestSumOrder:
             return
         assert (report.entropy_bits, report.split_scale_bits) == (entropy, split)
         assert report.dimension == entropy / split
+
+    def test_total_mass_is_the_correctly_rounded_sum_of_the_weights(self):
+        # the weights are 2^(log2 m) for m = 1 - 2^-9 and 2^-9, the masses
+        # themselves, so their sum is 1.0 exactly; taken back from the log2
+        # of that sum, it reads 1 - 2^-53
+        profile = CardinalityProfile.from_counts(2, {1: (1, 0.998046875), 2: (1, 0.001953125)})
+        assert profile.total_mass() == 1.0
 
     def test_split_term_of_every_cardinality_is_exact(self):
         # one layer of one set of cardinality k has entropy and split scale

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,18 @@ class TestRunConvergence:
             run_convergence("vacuous", 0, 3)
         with pytest.raises(EvidenceError):
             run_convergence("vacuous", 1, 2000)
+
+    @pytest.mark.parametrize("n_min, n_max, shown", [
+        (1.5, 3, "1.5"),
+        (1, 3.0, "3.0"),
+        ("1", 3, "'1'"),
+        (True, 3, "True"),
+        (1, True, "True"),
+    ])
+    def test_bounds_that_are_not_ints_are_named(self, n_min, n_max, shown):
+        # the first three escaped as bare TypeErrors, and (1, True) swept 1..1
+        with pytest.raises(EvidenceError, match=rf"^frame size {re.escape(shown)} is not an int$"):
+            run_convergence("max-deng", n_min, n_max)
 
     def test_deterministic_across_runs(self):
         first = run_convergence("uniform-powerset", 1, 25)

@@ -23,6 +23,7 @@ from evidim import (
     uniform_powerset,
     vacuous,
 )
+from evidim.core import _NUMERATORS
 
 FOUR_DP = 5e-5
 
@@ -119,6 +120,18 @@ class TestExactness:
             for name in FAMILIES:
                 total = family_profile(name, n).total_mass()
                 assert abs(total - 1.0) <= 1e-12, (name, n)
+
+    def test_numerator_table_holds_its_definition(self):
+        assert len(_NUMERATORS) == PROFILE_LIMIT + 1
+        for k, num in enumerate(_NUMERATORS):
+            assert type(num) is int and num == (1 << k) - 1, k
+
+    def test_max_deng_masses_are_the_exact_ratios(self):
+        # the numerator table moves no mass: each is the correctly rounded
+        # ratio of the exact ints
+        for n in (*range(1, 71), *range(1020, 1025)):
+            den = 3**n - 2**n
+            assert max_deng(n).masses == tuple(((1 << k) - 1) / den for k in range(1, n + 1)), n
 
     def test_max_deng_log2_masses_are_log2_ratios_of_the_exact_ints(self):
         for n in (*range(1, 71), *range(1020, 1025)):
