@@ -128,8 +128,8 @@ def _cmd_sweep(args) -> int:
     table = run_convergence(args.family, args.n_min, args.n_max)
     verdict = None
     if args.detect_limit is not None:
-        tol, window = float(args.detect_limit[0]), int(args.detect_limit[1])
-        verdict = detect_limit(table, window, tol)
+        tol, window = args.detect_limit
+        verdict = detect_limit(table, _parsed(window, int), _parsed(tol, float))
     scale = math.log2(_BASES[args.base])
     display = table._replace(rows=tuple(
         row._replace(entropy_bits=row.entropy_bits / scale,
@@ -140,6 +140,15 @@ def _cmd_sweep(args) -> int:
         Path(args.plot_data).write_text(render_plot_data(display), encoding="utf-8")
     sys.stdout.write(render_table(display, args.format, args.decimals, verdict))
     return 0
+
+
+def _parsed(text: str, kind: type):
+    """``text`` read as a ``kind``, or as it is when it does not read, so
+    that the library names what is wrong with it."""
+    try:
+        return kind(text)
+    except ValueError:
+        return text
 
 
 def _triple(report: DimensionReport) -> str:

@@ -30,22 +30,24 @@ columns come from exact ratios, build through one private one,
 ``CardinalityProfile._from_columns``, which validates every profile and
 does each job on its layers once; ``CardinalityProfile(...)`` itself
 raises a ``TypeError`` that names ``from_counts``.  Set counts are exact
-ints: the families that fill every layer pass none, and each layer takes
-C(N, k) from one exact binomial row, :func:`_binomial_row`, which takes
-one Pascal step from the row it returned last when that row was for
-N - 1, as in a sweep, and otherwise walks the recurrence up to N // 2 and
-mirrors it; listed counts are checked against :func:`math.comb`, in
-C-level passes that fall back to a walk over the layers only to name the
-first bad one.  The log2 of each count, each layer's weight (count *
-mass, formed once as 2^(log2 count + log2 mass)) and one order of the
-layers, largest weight first, are kept as derived slots, so that
+ints: the families that fill every layer 1..N pass none, and their
+counts are the slice C(N, 1..N) of one exact binomial row,
+:func:`_binomial_row`, which takes one Pascal step from the row it
+returned last when that row was for N - 1, as in a sweep, and otherwise
+walks the recurrence up to N // 2 and mirrors it.  Such layers need no
+bounds check, and since C(N, k) = C(N, N - k) as ints, the log2 of their
+counts is taken up to N // 2 and mirrored, the same bits.  Listed counts
+are checked against :func:`math.comb`, in C-level passes that fall back
+to a walk over the layers only to name the first bad one.  The log2 of
+each count, each layer's weight (count * mass, formed once as
+2^(log2 count + log2 mass)) and one order of the layers, largest weight
+first, are kept as derived slots, so that
 :meth:`CardinalityProfile.total_mass`, the ``math.fsum`` of the weights,
 and the dimension kernel sort nothing and form no weight again.  A
-column is put in that order, or a full layer's count taken from the
-binomial row, by one ``operator.itemgetter`` call (:func:`_gather`).
-The tables ``_NUMERATORS``, 2^k - 1 as exact ints, and ``_SPLITS``, its
-log2, for k up to :data:`PROFILE_LIMIT`, live here, so that the
-dimension kernel and the families read one copy.
+column is put in that order by one ``operator.itemgetter`` call
+(:func:`_gather`).  The tables ``_NUMERATORS``, 2^k - 1 as exact ints,
+and ``_SPLITS``, its log2, for k up to :data:`PROFILE_LIMIT`, live here,
+so that the dimension kernel and the families read one copy.
 
 All types are immutable after construction and safe to share across
 threads: ``__slots__`` classes on one private base, :class:`_Value`,
@@ -519,33 +521,41 @@ class CardinalityProfile(_Value):
 
         Takes columns of equal length, strictly ascending in cardinality,
         of int cardinalities and counts, each mass the double image of its
-        log2 mass; ``counts`` of ``None`` makes every listed layer full,
-        C(N, k) sets.  The frame size must be an int of at least 1; per
-        layer, ``1 <= k <= N`` and a count in ``1..C(N, k)``.  Last, the
-        masses must sum to one.
+        log2 mass.  ``counts`` of ``None`` says that ``cards`` is every
+        layer 1..N, each full, C(N, k) sets: the counts are then the
+        slice ``_binomial_row(N)[1:]``, valid by construction, and their
+        log2 are taken up to N // 2 and mirrored.  The frame size must be
+        an int of at least 1; per listed layer, ``1 <= k <= N`` and a
+        count in ``1..C(N, k)``.  Last, the masses must sum to one.
 
-        The cardinalities and counts pass a few C-level checks, full
-        layers taking their counts from one binomial row and listed counts
-        checked against :func:`math.comb`; only a profile that fails them
-        is walked layer by layer, to name its first bad layer.  Each
-        layer's weight, 2^(log2 count + log2 mass), is formed once and the
-        layers ordered once, largest weight first, for :meth:`total_mass`
-        and the dimension kernel; a weight too large for a float makes
-        the total ``inf``.
+        Listed cardinalities and counts pass a few C-level checks against
+        :func:`math.comb`; only a profile that fails them is walked layer
+        by layer, to name its first bad layer.  Each layer's weight,
+        2^(log2 count + log2 mass), is formed once and the layers ordered
+        once, largest weight first, for :meth:`total_mass` and the
+        dimension kernel; a weight too large for a float makes the total
+        ``inf``.
         """
         _check_frame_size(frame_size)
-        valid = min(cards, default=1) >= 1 and max(cards, default=1) <= frame_size
-        if valid and counts is None:
-            counts = _gather(cards)(_binomial_row(frame_size))
-        elif valid:
+        if counts is None:
+            row = _binomial_row(frame_size)
+            counts = row[1:]
+            # C(N, k) = C(N, N - k) as exact ints, so their log2 are the same
+            # bits: one math.log2 for each k up to N // 2, mirrored without
+            # an even N's middle entry, and log2 C(N, N) = 0.0
+            half = list(map(math.log2, row[1:frame_size // 2 + 1]))
+            log2_counts = (*half, *half[::-1][1 - frame_size % 2:], 0.0)
+        else:
             # math.comb per listed layer, not a row: a frame of 20,000 with one
             # layer would walk 10,000 steps of the recurrence
-            valid = min(counts, default=1) >= 1 and all(
-                map(le, counts, map(math.comb, repeat(frame_size), cards))
-            )
-        if not valid:
-            raise _first_bad_layer(frame_size, cards, counts)
-        log2_counts = tuple(map(math.log2, counts))
+            if not (
+                min(cards, default=1) >= 1
+                and max(cards, default=1) <= frame_size
+                and min(counts, default=1) >= 1
+                and all(map(le, counts, map(math.comb, repeat(frame_size), cards)))
+            ):
+                raise _first_bad_layer(frame_size, cards, counts)
+            log2_counts = tuple(map(math.log2, counts))
         try:
             weights = list(map(pow, repeat(2.0), map(add, log2_counts, log2_masses)))
         except OverflowError:
@@ -659,18 +669,14 @@ def _gather(index: Sequence[int]) -> Callable[[Sequence], tuple]:
 
 
 def _first_bad_layer(
-    frame_size: int, cards: Sequence[int], counts: Sequence[int] | None
+    frame_size: int, cards: Sequence[int], counts: Sequence[int]
 ) -> EvidenceError:
     """The error of the first layer, in cardinality order, whose
     cardinality is outside ``1..frame_size`` or whose count is outside
-    ``1..C(frame_size, k)``; ``counts`` of ``None`` makes every layer
-    full."""
-    for i, card in enumerate(cards):
+    ``1..C(frame_size, k)``."""
+    for card, count in zip(cards, counts):
         if not 1 <= card <= frame_size:
             return EvidenceError(f"cardinality {card} outside 1..{frame_size}")
-        if counts is None:
-            continue
-        count = counts[i]
         if count <= 0:
             return EvidenceError("profile rows must have positive set counts")
         if count > math.comb(frame_size, card):
@@ -684,7 +690,7 @@ def _as_mass(value, owner) -> float:
     or a bool, say), or one infinite or too large for a float, is an
     EvidenceError, and NaN or negative a NegativeMassError.  ``owner``
     names it in messages (see :func:`_name`)."""
-    if isinstance(value, bool) or not (isinstance(value, (float, int)) or _is_real(value)):
+    if not _is_real(value):
         raise EvidenceError(f"mass {_shown(value)} of {_name(owner)} is not a real number")
     try:
         mass = float(value)
@@ -698,8 +704,13 @@ def _as_mass(value, owner) -> float:
 
 
 def _is_real(value) -> bool:
+    """True for a real number that is not a bool."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, (float, int)):
+        return True
     # imported on first use, so that importing evidim, and every float or
-    # int mass, goes without the numbers module
+    # int value, goes without the numbers module
     from numbers import Real
 
     return isinstance(value, Real)

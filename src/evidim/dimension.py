@@ -24,8 +24,10 @@ formed then, so the kernel sorts nothing and forms no power of two for
 the entropy; an explicit mass or a distribution hands it the same powers,
 2^(log2 m), as a lazy column.  The split column reads log2(2^k - 1) from
 ``core._SPLITS``, a table up to the widest family profile, k =
-``PROFILE_LIMIT``.  Another base is a display choice, one division the
-caller makes.
+``PROFILE_LIMIT``: a profile whose cards are 1..n within it, as every
+full-layer family's are, gathers the slice for 1..n in one call, and any
+other reads the table per layer, a k past it as float(k), the same bits.
+Another base is a display choice, one division the caller makes.
 """
 from __future__ import annotations
 
@@ -77,12 +79,18 @@ def _profile_columns(profile: CardinalityProfile) -> Columns:
     # profile kept: math.fsum keeps one partial per non-overlapping
     # magnitude, and terms spanning hundreds of binary orders in ascending
     # order keep its partials list growing.  fsum is correctly rounded in
-    # any order, so the order changes no bit.  A k past the split table, as
-    # in vacuous(20000), reads as float(k), the same bits.
+    # any order, so the order changes no bit.  Cards 1..n within the split
+    # table, as in every full-layer family, gather its slice 1..n; other
+    # cards read it one by one, and a k past it, as in vacuous(20000), reads
+    # as float(k), the same bits.
     gather = _gather(profile._order)
-    splits, top = _SPLITS, len(_SPLITS)
+    cards, top = profile.cards, len(_SPLITS)
+    if cards[-1] == len(cards) < top:
+        splits = gather(_SPLITS[1:len(cards) + 1])
+    else:
+        splits = [_SPLITS[k] if k < top else float(k) for k in gather(cards)]
     return (
-        [splits[k] if k < top else float(k) for k in gather(profile.cards)],
+        splits,
         gather(profile._log2_counts),
         gather(profile.log2_masses),
         gather(profile.masses),

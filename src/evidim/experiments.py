@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .core import EvidenceError, _check_frame_size
+from .core import EvidenceError, _check_frame_size, _is_real, _shown
 from .dimension import information_dimension_profile
 from .families import PROFILE_LIMIT, family_profile
 
@@ -22,6 +22,11 @@ DECIMALS = range(1, 16)
 
 class InsufficientRowsError(EvidenceError):
     pass
+
+
+class DetectionParameterError(EvidenceError):
+    """A :func:`detect_limit` window that is not an int of at least 2, or a
+    tolerance that is not a positive real number."""
 
 
 class ConvergenceRow(NamedTuple):
@@ -66,12 +71,18 @@ def detect_limit(table: ConvergenceTable, window: int, tol: float) -> Convergenc
 
     Converged iff the last ``window`` dimensions sit within ``tol`` of
     that estimate; ``achieved_at_n`` is the first N of the longest such
-    suffix (None when not converged).
+    suffix (None when not converged).  ``window`` must be an int (not a
+    bool) of at least 2 and ``tol`` a real number (not a bool) above 0, or
+    :class:`DetectionParameterError` names the one that is not.
     """
+    if type(window) is not int:
+        raise DetectionParameterError(f"window {_shown(window)} is not an int")
     if window < 2:
-        raise ValueError("window must be at least 2")
+        raise DetectionParameterError("window must be at least 2")
+    if not _is_real(tol):
+        raise DetectionParameterError(f"tolerance {_shown(tol)} is not a real number")
     if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+        raise DetectionParameterError("tolerance must be positive")
     if len(table.rows) < window:
         raise InsufficientRowsError(
             f"need at least {window} rows, table has {len(table.rows)}"

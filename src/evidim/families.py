@@ -3,17 +3,26 @@
 All four families are cardinality-symmetric, so a profile represents them
 exactly, and rational construction keeps their total mass exactly 1.  Each
 family hands its layers to the profile as columns, with each per-set mass
-num/den and its log2 taken as log2(num) - log2(den) from the exact ints, so
-the log2 stays accurate where num/den underflows a double; max-deng reads
-each numerator 2^k - 1 from ``core._NUMERATORS`` and its log2 from
-``core._SPLITS``, which hold them for every k up to :data:`PROFILE_LIMIT`.
-The two families that fill every layer pass no counts: the profile takes
-each C(n, k) from the one binomial row it builds to validate, so a row is
-built once, and in a sweep by one Pascal step from the row before.
+the correctly rounded num/den and its log2 taken as log2(num) - log2(den)
+from the exact ints, so the log2 stays accurate where num/den underflows a
+double; max-deng reads each numerator 2^k - 1 from ``core._NUMERATORS``
+and its log2 from ``core._SPLITS``, which hold them for every k up to
+:data:`PROFILE_LIMIT`.  Past k = 64 max-deng takes the mass (2^k - 1)/den
+as 2^(k - n) times c, the one correctly rounded division c = 2^n/den per
+profile: the two exact values differ by a relative 2^-k < 2^-64, and no
+double's rounding boundary falls between them for any n up to
+:data:`PROFILE_LIMIT`, which the tests check at every k, so the exact
+scaling 2^(k - n) c gives the same double wherever it lands on a normal
+float.  Where it would be subnormal, and for k <= 64, each mass is its
+own division.  The two
+families that fill every layer 1..n pass no counts: the profile slices
+each C(n, k) from the one binomial row it builds, so a row is built once,
+and in a sweep by one Pascal step from the row before.
 """
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Callable
 
 from .core import (
@@ -58,13 +67,17 @@ def max_deng(n: int) -> CardinalityProfile:
     den = 3 ** n - 2 ** n
     log2_den = math.log2(den)
     # _ratio's values, with log2(den) taken once and each 2^k - 1 and its
-    # log2 read from the tables, which hold them for k <= n
+    # log2 read from the tables, which hold them for k <= n.  Past k = 64,
+    # (2^k - 1)/den rounds to the same double as 2^k/den (see the module
+    # docstring), and 2^(k - n) c is that double wherever it is normal, from
+    # k = n - e - 1021 up, with e the exponent frexp gives c; below either
+    # cut each mass is its own correctly rounded ratio
+    scaled = (1 << n) / den
+    cut = min(max(65, n - math.frexp(scaled)[1] - 1021), n + 1)
+    masses = [num / den for num in _NUMERATORS[1:cut]]
+    masses += map(math.ldexp, repeat(scaled), range(cut - n, 1))
     return CardinalityProfile._from_columns(
-        n,
-        range(1, n + 1),
-        None,
-        [num / den for num in _NUMERATORS[1:n + 1]],
-        [s - log2_den for s in _SPLITS[1:n + 1]],
+        n, range(1, n + 1), None, masses, [s - log2_den for s in _SPLITS[1:n + 1]]
     )
 
 

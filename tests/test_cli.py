@@ -293,6 +293,19 @@ class TestSweep:
     def test_detect_limit_with_too_few_rows_exits_two(self):
         assert main(["sweep", "vacuous", "1", "3", "--detect-limit", "1e-9", "5"]) == 2
 
+    @pytest.mark.parametrize("tol, window, message", [
+        ("1e-6", "abc", "window 'abc' is not an int"),
+        ("1e-6", "2.5", "window '2.5' is not an int"),
+        ("abc", "3", "tolerance 'abc' is not a real number"),
+        ("nan", "3", "tolerance must be positive"),
+    ])
+    def test_detect_limit_parameters_that_do_not_read_exit_two(self, tol, window, message, capsys):
+        # int("abc") escaped as "ValueError: invalid literal for int()"
+        assert main(["sweep", "max-deng", "1", "8", "--detect-limit", tol, window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: DetectionParameterError: {message}\n"
+
 
 class TestArgumentErrors:
     def test_no_arguments(self):

@@ -47,7 +47,7 @@ from evidim import (
     vacuous,
 )
 from evidim import core, wire
-from evidim.core import _as_mass, _binomial_row
+from evidim.core import PROFILE_LIMIT, _as_mass, _binomial_row
 
 
 class TestFrame:
@@ -650,6 +650,28 @@ class TestProfiles:
         assert walked == [40]
         assert profile.counts == tuple(math.comb(40, k) for k in range(1, 41))
 
+    @pytest.mark.parametrize("family", [max_deng, uniform_powerset])
+    def test_full_layer_counts_and_their_log2_hold_at_every_size(self, family):
+        # full layers slice their counts from the binomial row and take the
+        # log2 of half of them, mirrored by C(N, k) = C(N, N - k)
+        for n in range(1, PROFILE_LIMIT + 1):
+            profile = family(n)
+            assert profile.cards == tuple(range(1, n + 1)), n
+            if n <= 70 or n >= 1020:
+                assert profile.counts == tuple(math.comb(n, k) for k in profile.cards), n
+            assert profile._log2_counts == tuple(map(math.log2, profile.counts)), n
+
+    @pytest.mark.parametrize("size, rows", [
+        (1, {1: (1, 1.0)}),
+        (4, {1: (4, 0.125), 2: (6, 1 / 12)}),
+        (5, {2: (10, 0.05), 4: (5, 0.1)}),
+        (1000, {499: (math.comb(1000, 499), 0.5 / math.comb(1000, 499)),
+                501: (math.comb(1000, 501), 0.5 / math.comb(1000, 501))}),
+    ])
+    def test_listed_log2_counts_are_the_log2_of_each_count(self, size, rows):
+        profile = CardinalityProfile.from_counts(size, rows)
+        assert profile._log2_counts == tuple(map(math.log2, profile.counts))
+
     def test_listed_counts_walk_no_binomial_row(self, monkeypatch):
         # a row for one layer of a 20,000-element frame would walk the
         # recurrence 10,000 steps; listed counts are checked by math.comb
@@ -674,8 +696,6 @@ class TestProfiles:
             ((1, 2, 5, 6), (4, 7, 1, 1), r"^7 sets of cardinality 2 exceed C\(4,2\)$"),
             ((1, 5, 6), (4, 1, 1), r"^cardinality 5 outside 1\.\.4$"),
             ((0, 5), (1, 1), r"^cardinality 0 outside 1\.\.4$"),
-            ((0, 5), None, r"^cardinality 0 outside 1\.\.4$"),
-            ((2, 5, 6), None, r"^cardinality 5 outside 1\.\.4$"),
         ],
     )
     def test_first_bad_layer_is_named(self, cards, counts, message):

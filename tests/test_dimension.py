@@ -27,7 +27,7 @@ from evidim import (
     uniform_powerset,
     vacuous,
 )
-from evidim.dimension import _SPLITS
+from evidim.dimension import _SPLITS, _profile_columns
 
 FOUR_DP = 5e-5
 
@@ -354,6 +354,27 @@ class TestSumOrder:
         top = len(_SPLITS)
         for k in range(1, 1025):
             assert (_SPLITS[k] if k < top else float(k)) == math.log2((1 << k) - 1), k
+
+    @pytest.mark.parametrize("size, rows", [
+        *((n, None) for n in (1, 2, 3, 64, 65, 512, 1024)),
+        (3, {1: (3, 0.125), 2: (3, 0.125), 3: (1, 0.25)}),
+        (5, {2: (10, 0.05), 4: (5, 0.1)}),
+        (1100, {1: (1, 0.5), 1100: (1, 0.5)}),
+        (1100, {k: (1, 1 / 1100) for k in range(1, 1101)}),
+        (20_000, {20_000: (1, 1.0)}),
+    ], ids=lambda arg: (
+        "max-deng" if arg is None else f"{len(arg)}-layers" if isinstance(arg, dict) else str(arg)
+    ))
+    def test_split_column_is_log2_of_each_numerator(self, size, rows):
+        # cards 1..n within the table gather a slice of it (max-deng, rows of
+        # None); sparse cards, and 1..n past it, read each k
+        if rows is None:
+            profile = max_deng(size)
+        else:
+            profile = CardinalityProfile.from_counts(size, rows)
+        column = _profile_columns(profile)[0]
+        cards = [profile.cards[i] for i in profile._order]
+        assert list(column) == [math.log2((1 << k) - 1) for k in cards]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_family_reports_match_their_public_columns_bit_for_bit(self, family):

@@ -9,6 +9,7 @@ import pytest
 
 from evidim import (
     ConvergenceTable,
+    DetectionParameterError,
     EvidenceError,
     InsufficientRowsError,
     UnknownFamilyError,
@@ -118,6 +119,22 @@ class TestDetectLimit:
             detect_limit(table, window=1, tol=1e-3)
         with pytest.raises(ValueError):
             detect_limit(table, window=5, tol=0.0)
+
+    @pytest.mark.parametrize("window, tol, message", [
+        (2.5, 1e-3, r"^window 2\.5 is not an int$"),
+        ("3", 1e-3, r"^window '3' is not an int$"),
+        (True, 1e-3, r"^window True is not an int$"),
+        (1, 1e-3, r"^window must be at least 2$"),
+        (5, "1e-3", r"^tolerance '1e-3' is not a real number$"),
+        (5, True, r"^tolerance True is not a real number$"),
+        (5, float("nan"), r"^tolerance must be positive$"),
+        (5, -1e-3, r"^tolerance must be positive$"),
+    ])
+    def test_bad_parameters_are_named(self, window, tol, message):
+        # a float or str window escaped as a bare TypeError, and True read as 1
+        table = run_convergence("max-deng", 1, 8)
+        with pytest.raises(DetectionParameterError, match=message):
+            detect_limit(table, window=window, tol=tol)
 
 
 class TestRenderTable:

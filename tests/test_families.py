@@ -127,9 +127,10 @@ class TestExactness:
             assert type(num) is int and num == (1 << k) - 1, k
 
     def test_max_deng_masses_are_the_exact_ratios(self):
-        # the numerator table moves no mass: each is the correctly rounded
-        # ratio of the exact ints
-        for n in (*range(1, 71), *range(1020, 1025)):
+        # neither the numerator table nor the scaled masses past k = 64 move
+        # a mass: each is the correctly rounded ratio of the exact ints, at
+        # every size the family allows
+        for n in range(1, PROFILE_LIMIT + 1):
             den = 3**n - 2**n
             assert max_deng(n).masses == tuple(((1 << k) - 1) / den for k in range(1, n + 1)), n
 
