@@ -137,9 +137,10 @@ def render_table(
     csv and markdown round half-to-even to ``decimals`` and end with a
     ``converged limit=...`` line when a verdict is given; json always
     carries full-precision values and the verdict as a ``"verdict"`` key.
+    ``decimals`` must be an int (not a bool or a float) in ``DECIMALS``.
     """
-    if decimals not in DECIMALS:
-        raise ValueError(f"decimals must be between {DECIMALS[0]} and {DECIMALS[-1]}")
+    if type(decimals) is not int or decimals not in DECIMALS:
+        raise ValueError(f"decimals must be an int between {DECIMALS[0]} and {DECIMALS[-1]}")
     if fmt == "json":
         payload = {"family": table.family, "rows": [dict(zip(_HEADER, row)) for row in table.rows]}
         if verdict is not None:

@@ -18,6 +18,11 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 PINNED_STDOUT = json.loads(
     (Path(__file__).resolve().parent / "cli_stdout.json").read_text(encoding="utf-8")
 )
+# exit code, stdout and stderr of the help and usage-error cases, read by
+# TestHelpAndUsage with argparse wrapping at 80 columns
+PINNED_USAGE = json.loads(
+    (Path(__file__).resolve().parent / "cli_usage.json").read_text(encoding="utf-8")
+)
 
 EXAMPLE = {
     "frame": ["w1", "w2"],
@@ -298,6 +303,12 @@ class TestSweep:
         ("1e-6", "2.5", "window '2.5' is not an int"),
         ("abc", "3", "tolerance 'abc' is not a real number"),
         ("nan", "3", "tolerance must be positive"),
+        # argparse's own negative-number pattern reads -1e-6 as an option in
+        # some releases, which failed as "expected 2 arguments"
+        ("-1e-6", "5", "tolerance must be positive"),
+        ("-1E-3", "5", "tolerance must be positive"),
+        ("-0.5", "5", "tolerance must be positive"),
+        ("-inf", "5", "tolerance must be positive"),
     ])
     def test_detect_limit_parameters_that_do_not_read_exit_two(self, tol, window, message, capsys):
         # int("abc") escaped as "ValueError: invalid literal for int()"
@@ -316,6 +327,34 @@ class TestArgumentErrors:
 
     def test_bad_format_value(self, example_file):
         assert main(["compute", example_file, "--format", "xml"]) == 2
+
+
+class TestHelpAndUsage:
+    """Help and usage text, and the exit code, of the commands and of
+    usage errors: each call builds only the invoked command's arguments,
+    and none of that may show."""
+
+    @pytest.mark.parametrize(
+        "case", PINNED_USAGE, ids=[" ".join(case["argv"]) or "(none)" for case in PINNED_USAGE]
+    )
+    def test_output_bytes(self, case, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(case["argv"]) == case["code"]
+        captured = capsys.readouterr()
+        assert captured.out == case["stdout"]
+        assert captured.err == case["stderr"]
+
+
+class TestArgvFromSys:
+    @pytest.mark.parametrize("argv", [["compute", "pair.json"], ["sweep", "max-deng", "1", "6"]])
+    def test_none_reads_sys_argv(self, argv, tmp_path, monkeypatch, capsys):
+        (tmp_path / "pair.json").write_text(json.dumps(EXAMPLE))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr("sys.argv", ["evidim", *argv])
+        assert main() == 0
+        assert capsys.readouterr() == expected
 
 
 class TestJsonHelpers:

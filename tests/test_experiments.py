@@ -169,10 +169,12 @@ class TestRenderTable:
 
     def test_decimals_validation(self):
         table = run_convergence("vacuous", 1, 3)
-        with pytest.raises(ValueError):
-            render_table(table, "csv", 0)
-        with pytest.raises(ValueError):
-            render_table(table, "csv", 16)
+        # 2.0 and True are in range by value: they failed inside str.format
+        # for csv ("Invalid format specifier") and json took them silently
+        for decimals in (0, 16, 2.0, True):
+            for fmt in ("csv", "json"):
+                with pytest.raises(ValueError, match="^decimals must be an int between 1 and 15$"):
+                    render_table(table, fmt, decimals)
         with pytest.raises(ValueError):
             render_table(table, "html", 4)
 
