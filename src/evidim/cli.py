@@ -5,13 +5,18 @@ mass-function format, runs the oracle check and rescales to the chosen
 logarithm base; :mod:`evidim.experiments` renders the text.  Exit codes
 are stable: 0 success, 2 input or validation error, 3 oracle mismatch.
 
-:func:`main` builds its argparse parser on each call, with the
-arguments of the invoked command only: on a small file that build is
-most of the call.  The parser is not cached yet.  A cache would make
-repeated in-process calls on small files about 3.8 times faster, but
-the benchmark keeps about 90 bytes of records per call, so its
-``peak_rss_mb`` would rise past its bound from those records alone; the
-cache waits until the benchmark stops counting them.
+When argv opens with a command, :func:`main` parses the rest with that
+command's parser alone, which is the one the full parser would hand the
+same tokens to, so its help and errors read the same.  The full parser,
+with both commands and all their arguments, is built only for output
+that belongs to the top level: ``--help``, a missing or unknown command,
+and tokens the command leaves over.  On a small file the parser build is
+still most of the call, and the parser is still not cached.  A cache
+would make repeated in-process calls on small files about 3.8 times
+faster, but the benchmark keeps about 120 bytes of records per call, so
+the extra calls a cache allows would raise its ``peak_rss_mb`` past its
+bound from those records alone; the cache waits until the benchmark
+stops counting them.
 """
 from __future__ import annotations
 
@@ -41,25 +46,33 @@ _REPORT_HEADER = ("entropy_bits", "split_scale_bits", "dimension", "degenerate")
 _NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser for one :func:`main` call whose command is ``command``.
-
-    Both subcommands are registered, so the top-level help, usage and
-    invalid-choice errors read the same whatever the command, but only
-    ``command``'s arguments are added: argparse never reads the other's.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, with both commands and all their arguments: it
+    writes the top-level help and usage errors."""
     parser = argparse.ArgumentParser(
         prog="evidim",
         description="Information dimension of Dempster-Shafer mass functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    compute = sub.add_parser("compute", help="dimension report for a mass-function JSON file")
-    sweep = sub.add_parser("sweep", help="convergence table for a parametric family")
-    if command == "compute":
-        _compute_arguments(compute)
-    elif command == "sweep":
-        _sweep_arguments(sweep)
+    _compute_arguments(
+        sub.add_parser("compute", help="dimension report for a mass-function JSON file")
+    )
+    _sweep_arguments(sub.add_parser("sweep", help="convergence table for a parametric family"))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by its command's parser alone, or by the full parser
+    when it does not open with a command or leaves tokens over: the full
+    parser reports those under the top-level usage."""
+    if argv and argv[0] in ("compute", "sweep"):
+        parser = argparse.ArgumentParser(prog=f"evidim {argv[0]}")
+        (_compute_arguments if argv[0] == "compute" else _sweep_arguments)(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _compute_arguments(compute: argparse.ArgumentParser):
@@ -117,12 +130,8 @@ def _common_flags(cmd: argparse.ArgumentParser):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser has no option that takes a value, so argparse
-    # takes as the command this token or an earlier dash token, which is
-    # never a command and fails before any subcommand's arguments are read
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
     try:
-        args = _build_parser(command).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

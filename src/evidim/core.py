@@ -198,6 +198,7 @@ class Frame(_Value):
     _bits: dict[str, int]
 
     def __init__(self, labels: Iterable[str]):
+        _refuse_string(labels, "Frame")
         labels = tuple(labels)
         if not labels:
             raise EmptyFrameError("a frame needs at least one label")
@@ -224,6 +225,7 @@ class Frame(_Value):
 
     def subset(self, labels: Iterable[str]) -> Subset:
         """Subset from labels; duplicates collapse, empty input is rejected."""
+        _refuse_string(labels, "Frame.subset")
         return Subset(self, self._mask(labels))
 
     def singleton(self, label: str) -> Subset:
@@ -247,7 +249,10 @@ class Frame(_Value):
 
     @staticmethod
     def generic(size: int) -> Frame:
-        """Frame with synthesized labels e1..eN."""
+        """Frame with synthesized labels e1..eN; a size below 1 leaves no
+        label, an EmptyFrameError."""
+        if type(size) is not int:
+            _check_frame_size(size)
         return Frame(tuple(f"e{i}" for i in range(1, size + 1)))
 
 
@@ -714,6 +719,13 @@ def _is_real(value) -> bool:
     from numbers import Real
 
     return isinstance(value, Real)
+
+
+def _refuse_string(labels, taker: str):
+    """A str iterates as its characters, so as labels "ab" would read as
+    "a" and "b"; it is refused, not guessed at."""
+    if isinstance(labels, str):
+        raise EvidenceError(f"{taker} takes an iterable of labels, not the string {_shown(labels)}")
 
 
 def _shown(value) -> str:

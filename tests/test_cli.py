@@ -18,8 +18,9 @@ GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 PINNED_STDOUT = json.loads(
     (Path(__file__).resolve().parent / "cli_stdout.json").read_text(encoding="utf-8")
 )
-# exit code, stdout and stderr of the help and usage-error cases, read by
-# TestHelpAndUsage with argparse wrapping at 80 columns
+# exit code, stdout and stderr of the help, usage-error and argv-shape
+# cases, read by TestHelpAndUsage with argparse wrapping at 80 columns in a
+# directory that holds no f.json
 PINNED_USAGE = json.loads(
     (Path(__file__).resolve().parent / "cli_usage.json").read_text(encoding="utf-8")
 )
@@ -331,14 +332,17 @@ class TestArgumentErrors:
 
 class TestHelpAndUsage:
     """Help and usage text, and the exit code, of the commands and of
-    usage errors: each call builds only the invoked command's arguments,
-    and none of that may show."""
+    usage errors.  An argv that opens with a command is parsed by that
+    command's parser alone, and only tokens it leaves over, or an argv
+    that opens with anything else, reach the full parser; none of that
+    may show, on either path."""
 
     @pytest.mark.parametrize(
         "case", PINNED_USAGE, ids=[" ".join(case["argv"]) or "(none)" for case in PINNED_USAGE]
     )
-    def test_output_bytes(self, case, monkeypatch, capsys):
+    def test_output_bytes(self, case, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
         assert main(case["argv"]) == case["code"]
         captured = capsys.readouterr()
         assert captured.out == case["stdout"]

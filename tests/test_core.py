@@ -84,6 +84,26 @@ class TestFrame:
         with pytest.raises(FrameTooLargeError):
             Frame.generic(65)
 
+    def test_bare_string_rejected(self):
+        # "abc" iterated as the three labels a, b and c
+        message = r"^Frame takes an iterable of labels, not the string 'abc'$"
+        with pytest.raises(EvidenceError, match=message):
+            Frame("abc")
+        assert Frame(["abc"]).labels == ("abc",)
+
+    # True built a one-label frame; 2.5 and "3" escaped as bare TypeErrors
+    @pytest.mark.parametrize("size", [True, 2.5, "3"], ids=repr)
+    def test_generic_size_not_an_int_rejected(self, size):
+        message = rf"^frame size {re.escape(repr(size))} is not an int$"
+        with pytest.raises(EvidenceError, match=message) as raised:
+            Frame.generic(size)
+        assert type(raised.value) is EvidenceError
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_generic_size_below_one_rejected(self, size):
+        with pytest.raises(EmptyFrameError):
+            Frame.generic(size)
+
 
 class TestSubset:
     def test_full_pair(self, two_frame):
@@ -120,6 +140,15 @@ class TestSubset:
     def test_members_follow_frame_order(self):
         frame = Frame(("c", "a", "b"))
         assert frame.subset(["b", "c"]).members == ("c", "b")
+
+    def test_bare_string_rejected(self):
+        # "ab" was read as the labels a and b, not as the label ab
+        frame = Frame(("a", "b", "ab"))
+        message = r"^Frame\.subset takes an iterable of labels, not the string 'ab'$"
+        with pytest.raises(EvidenceError, match=message):
+            frame.subset("ab")
+        assert frame.subset(["ab"]).members == ("ab",)
+        assert frame.subset(("a", "b")).members == ("a", "b")
 
 
 class TestMassConstruction:
