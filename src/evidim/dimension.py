@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
@@ -44,8 +45,9 @@ from .core import (
 # sets that share one mass: s, log2(2^k - 1) for the cardinality k (0.0
 # exactly when k is 1); lc, log2 of the focal-set count; lm, log2 of the
 # per-set mass; m, the per-set mass; and w, the layer's weight, count *
-# mass formed as 2^(lc + lm).  The kernel reads w once, so it may be a
-# lazy iterable.
+# mass formed as 2^(lc + lm).  The kernel streams its terms into math.fsum,
+# reading w once, so w may be a lazy iterable, and keeps one column of its
+# own: the split scale's log2 terms, whose max it takes before their sum.
 Columns = tuple[
     Sequence[float], Sequence[float], Sequence[float], Sequence[float], Iterable[float]
 ]
@@ -65,9 +67,10 @@ class DimensionReport(NamedTuple):
 def _mass_columns(mass: MassFunction) -> Columns:
     # each set is a layer of one, and 0.0 + x is exact, so the count column
     # of 0.0 leaves every term as one set's term and every weight 2^lm.
-    # The log2 masses come last: taken first, they left the benchmark's peak
-    # RSS on a full 16-element power set higher in most runs, with the same
-    # traced peak
+    # The split and count columns share their floats, so an explicit mass
+    # costs two columns of a new float per focal set: the log2 masses here
+    # and the kernel's split terms.  The log2 masses come last, which kept
+    # the process's peak RSS lower than taking them first
     splits = [_SPLITS[mask.bit_count()] for mask in mass.masks]
     zeros = [0.0] * len(mass.masks)
     log2_masses = list(map(math.log2, mass.masses))
@@ -113,15 +116,15 @@ def _bits(splits: Sequence[float], log2_counts: Sequence[float],
     would overflow or underflow a double; the split scale is a log-sum of
     count * (2^k - 1)^mass terms, each kept as its log2, lc + m * s.
     """
-    entropy = math.fsum([w * (s - lm) for s, lm, w in zip(splits, log2_masses, weights)])
-    split = _logsumexp2([lc + m * s for s, lc, m in zip(splits, log2_counts, masses)])
+    entropy = math.fsum(map(mul, weights, map(sub, splits, log2_masses)))
+    split = _logsumexp2(list(map(add, log2_counts, map(mul, masses, splits))))
     return entropy, split
 
 
 def _logsumexp2(values: list[float]) -> float:
     """log2 of a sum of powers of two, shifted to avoid overflow."""
     top = max(values)
-    return top + math.log2(math.fsum([2.0 ** (v - top) for v in values]))
+    return top + math.log2(math.fsum(map(pow, repeat(2.0), map(sub, values, repeat(top)))))
 
 
 def _report(columns: Columns) -> DimensionReport:

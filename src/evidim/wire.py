@@ -9,14 +9,11 @@ are checked as it is read.
 Every text is first decoded with each well-formed focal entry turned
 straight into its bit mask: the decoder numbers labels in the order it
 first sees them, appends each entry's mask and mass to two columns and
-leaves one shared sentinel in the entry's place, so a label string lives
-only until its entry is decoded and an entry leaves only its mask and its
-mass behind.  The decode stops at the first entry that is not a mask.
-The JSON scanner shares repeated object keys but makes a new string for
-every label in an array, so on a full 16-element power set (524,288
-label occurrences) the parse's traced peak is about 8.5 MB, against 45 MB
-for a parse that keeps them and 15 MB for one that keeps a ``(mask,
-mass)`` tuple per entry.  A text that opens with ``"frame"``, as
+leaves one shared sentinel in the entry's place.  The JSON scanner shares
+repeated object keys but makes a new string for every label in an array,
+so a label string lives only until its entry is decoded, and an entry
+leaves only its mask and its mass behind.  The decode stops at the first
+entry that is not a mask.  A text that opens with ``"frame"``, as
 :func:`mass_to_json` output and ``json.dumps`` of a ``{"frame",
 "focal"}`` dict do, has that value decoded on its own first, and a list
 of at most 64 strings seeds the numbering in frame order, so the masks
@@ -35,9 +32,10 @@ the :class:`MassFunction` constructor as written, in entry order on the
 same masks as the strict path's, so it rejects a mass that is not a
 real number as that path does.
 
-:func:`mass_to_json` builds one string per entry and joins them once,
-the head and the tail of the document riding on the first and the last
-entry, so the text is copied in full only by that join.
+:func:`mass_to_json` writes the entries in runs of a fixed length and
+joins each run into one string before the next run starts, so only one
+run's per-entry strings are alive at a time; the run strings are joined
+once at the end, which makes the only full-size copy of the text.
 """
 from __future__ import annotations
 
@@ -238,6 +236,11 @@ def _strict_mass_from_json(text: str) -> MassFunction:
     return MassFunction(frame, masks, [entry["mass"] for entry in focal])
 
 
+# entries per run of mass_to_json: each run's strings are joined and freed
+# before the next run's are formed
+_RUN = 1024
+
+
 def mass_to_json(mass: MassFunction) -> str:
     """Serialize to the JSON mass-function format (focal sets in mask order).
 
@@ -249,10 +252,12 @@ def mass_to_json(mass: MassFunction) -> str:
     labels the byte selects, encoded and joined: one table for a run that
     opens an entry's list, one with a leading separator for a run that
     continues it.  An entry's labels then take one lookup per run, and
-    ``repr`` runs once per distinct mass.  The entries are joined once,
-    so the traced peak is about 2.3 times the text (13.9 MB for the 6.1 MB
-    of a full 15-element power set), against 4.2 times for a join wrapped
-    in a head and a tail with ``+``.
+    ``repr`` runs once per distinct mass.  The entries are written in runs
+    of :data:`_RUN`, each joined into one string before the next run is
+    formed, and the run strings are joined once, with the head of the
+    document on the first and the tail on the last.  So at most one run's
+    entry strings are alive beside the run strings, and the result is the
+    only full-size copy of the text.
     """
     labels = [encode_basestring(label) for label in mass.frame.labels]
     tables = []
@@ -263,23 +268,27 @@ def mass_to_json(mass: MassFunction) -> str:
             continuing += [chosen + ",\n        " + label for chosen in continuing]
         # an opening run drops the comma of its first separator
         tables.append((start, [chosen[1:] for chosen in continuing], continuing))
-    masks = mass.masks
-    elements = [""] * len(masks)
-    for start, opening, continuing in tables:
-        elements = [
-            chosen + (continuing if chosen else opening)[mask >> start & 255]
-            for chosen, mask in zip(elements, masks)
-        ]
-    distinct = set(mass.masses)
+    masks, masses = mass.masks, mass.masses
+    distinct = set(masses)
     reprs = dict(zip(distinct, map(repr, distinct)))
-    entries = [
-        f'{{\n      "elements": [{chosen}\n      ],\n      "mass": {reprs[value]}\n    }}'
-        for chosen, value in zip(elements, mass.masses)
-    ]
-    del elements
-    head = '{\n  "frame": [\n    ' + ",\n    ".join(labels) + '\n  ],\n  "focal": ['
-    # the head rides on the first entry and the tail on the last (a lone
-    # entry takes both), so the one join makes the only full-size copy
-    entries[0] = head + "\n    " + entries[0]
-    entries[-1] += "\n  ]\n}"
-    return ",\n    ".join(entries)
+    runs = []
+    for begin in range(0, len(masks), _RUN):
+        run_masks = masks[begin:begin + _RUN]
+        elements = [""] * len(run_masks)
+        for start, opening, continuing in tables:
+            elements = [
+                chosen + (continuing if chosen else opening)[mask >> start & 255]
+                for chosen, mask in zip(elements, run_masks)
+            ]
+        runs.append(",\n    ".join([
+            f'{{\n      "elements": [{chosen}\n      ],\n      "mass": {reprs[value]}\n    }}'
+            for chosen, value in zip(elements, masses[begin:begin + _RUN])
+        ]))
+    # the head rides on the first run and the tail on the last (a lone run
+    # takes both), so the one join makes the only full-size copy
+    runs[0] = (
+        '{\n  "frame": [\n    ' + ",\n    ".join(labels) + '\n  ],\n  "focal": [\n    '
+        + runs[0]
+    )
+    runs[-1] += "\n  ]\n}"
+    return ",\n    ".join(runs)

@@ -1634,6 +1634,17 @@ def _pinned_corpus():
             frame, [(Subset(frame, mask), i / total) for i, mask in enumerate(masks, 1)]
         )
     yield max_deng(9).to_mass()
+    # entry counts one below, at, one above and about twice the runs of
+    # 1024 entries that mass_to_json writes, so every seam between runs
+    # is covered
+    yield uniform_powerset(10).to_mass()
+    frame = Frame.generic(11)
+    for count in (1024, 1025):
+        total = count * (count + 1) // 2
+        yield MassFunction(
+            frame, list(range(1, count + 1)), [i / total for i in range(1, count + 1)]
+        )
+    yield max_deng(11).to_mass()
 
 
 class TestJsonBytes:
@@ -1642,8 +1653,9 @@ class TestJsonBytes:
             assert mass_to_json(mass) == _stdlib_json(mass)
 
     def test_mass_to_json_makes_one_full_size_copy(self):
-        # the entries and the one text they are joined into; joining them
-        # between a head and a tail with + peaked near 4.2x the text here
+        # the run strings and the one text they are joined into, with one
+        # run's entry strings beside them; keeping every entry's strings
+        # until a single join peaked above 2.3x the text here
         mass = uniform_powerset(14).to_mass()
         text, peak = _traced(mass_to_json, mass)
-        assert peak < 3 * len(text)
+        assert peak < 2.2 * len(text)

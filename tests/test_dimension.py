@@ -5,6 +5,7 @@ import math
 import random
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,20 @@ class TestLargeFrames:
         wide = vacuous(200_000)
         assert information_dimension_profile(wide).dimension == 1.0
         assert best_of_three(wide) < best_of_three(max_deng(1024))
+
+    def test_explicit_kernel_keeps_two_float_columns(self):
+        # a new float and a list slot per focal set in the log2 masses and
+        # in the split scale's terms, about 64 bytes, plus a slot each in the
+        # split and count columns, whose floats are shared; a list of the
+        # entropy's terms on top of those peaked above 110 bytes
+        mass = uniform_powerset(14).to_mass()
+        tracemalloc.start()
+        try:
+            information_dimension(mass)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * len(mass.masks)
 
 
 @st.composite
