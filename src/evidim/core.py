@@ -83,14 +83,14 @@ _NUMERATORS = [(1 << k) - 1 for k in range(PROFILE_LIMIT + 1)]
 
 # log2(2^k - 1) for the same k, 0.0 at k = 0 unused; the dimension kernel
 # reads its split column here and families.max_deng its log2 numerators.
-# Past k = 53, 2^k - 1 rounds to 2^k in a double, so math.log2 gives k
-# exactly: the entries past the explicit frame cap are float(k), the same
-# bits without a k-bit integer, and a wider profile reads a larger k as
+# Past k = 53, the bits of a double's significand, 2^k - 1 rounds to 2^k,
+# so math.log2 gives k exactly: those entries are float(k), the same bits
+# without a k-bit integer, and a wider profile reads a larger k as
 # float(k) too.
 _SPLITS = [
     0.0,
-    *map(math.log2, _NUMERATORS[1:MAX_EXPLICIT_FRAME + 1]),
-    *map(float, range(MAX_EXPLICIT_FRAME + 1, PROFILE_LIMIT + 1)),
+    *map(math.log2, _NUMERATORS[1:54]),
+    *map(float, range(54, PROFILE_LIMIT + 1)),
 ]
 
 

@@ -15,9 +15,9 @@ for a mass function, :func:`information_dimension_profile` for a
 cardinality profile and :func:`probability_dimension` for a probability
 distribution.  Each sum runs through one kernel, :func:`_bits`, over five
 parallel columns that this module alone builds and reads: an explicit
-mass function gives one entry per focal set, with a count column of 0.0,
-a profile one entry per cardinality layer and a distribution one entry
-per outcome.  No row object is built per entry.  A profile's columns
+mass function gives one entry per focal set and a distribution one entry
+per outcome, each with no count column, and a profile one entry per
+cardinality layer.  No row object is built per entry.  A profile's columns
 follow the order its construction kept, largest layer weight first, each
 gathered by one ``operator.itemgetter`` call, and reuse the weights it
 formed then, so the kernel sorts nothing and forms no power of two for
@@ -43,13 +43,14 @@ from .core import (
 
 # Every sum runs over five parallel columns, one entry per layer of focal
 # sets that share one mass: s, log2(2^k - 1) for the cardinality k (0.0
-# exactly when k is 1); lc, log2 of the focal-set count; lm, log2 of the
-# per-set mass; m, the per-set mass; and w, the layer's weight, count *
-# mass formed as 2^(lc + lm).  The kernel streams its terms into math.fsum,
-# reading w once, so w may be a lazy iterable, and keeps one column of its
-# own: the split scale's log2 terms, whose max it takes before their sum.
+# exactly when k is 1); lc, log2 of the focal-set count, or None when every
+# layer is one set; lm, log2 of the per-set mass; m, the per-set mass; and
+# w, the layer's weight, count * mass formed as 2^(lc + lm).  The kernel
+# streams its terms into math.fsum, reading w once, so w may be a lazy
+# iterable, and keeps one column of its own: the split scale's log2 terms,
+# whose max it takes before their sum.
 Columns = tuple[
-    Sequence[float], Sequence[float], Sequence[float], Sequence[float], Iterable[float]
+    Sequence[float], Sequence[float] | None, Sequence[float], Sequence[float], Iterable[float]
 ]
 
 
@@ -65,16 +66,14 @@ class DimensionReport(NamedTuple):
 
 
 def _mass_columns(mass: MassFunction) -> Columns:
-    # each set is a layer of one, and 0.0 + x is exact, so the count column
-    # of 0.0 leaves every term as one set's term and every weight 2^lm.
-    # The split and count columns share their floats, so an explicit mass
-    # costs two columns of a new float per focal set: the log2 masses here
-    # and the kernel's split terms.  The log2 masses come last, which kept
-    # the process's peak RSS lower than taking them first
+    # each set is a layer of one, so there is no count column and every
+    # weight is 2^lm.  The split column shares the table's floats, so an
+    # explicit mass costs two columns of a new float per focal set: the
+    # log2 masses here and the kernel's split terms.  The log2 masses come
+    # last, which kept the process's peak RSS lower than taking them first
     splits = [_SPLITS[mask.bit_count()] for mask in mass.masks]
-    zeros = [0.0] * len(mass.masks)
     log2_masses = list(map(math.log2, mass.masses))
-    return splits, zeros, log2_masses, mass.masses, map(pow, repeat(2.0), log2_masses)
+    return splits, None, log2_masses, mass.masses, map(pow, repeat(2.0), log2_masses)
 
 
 def _profile_columns(profile: CardinalityProfile) -> Columns:
@@ -104,21 +103,24 @@ def _profile_columns(profile: CardinalityProfile) -> Columns:
 def _probability_columns(dist: ProbabilityDistribution) -> Columns:
     zeros = [0.0] * dist.size
     log2_masses = list(map(math.log2, dist.probabilities))
-    return zeros, zeros, log2_masses, dist.probabilities, map(pow, repeat(2.0), log2_masses)
+    return zeros, None, log2_masses, dist.probabilities, map(pow, repeat(2.0), log2_masses)
 
 
-def _bits(splits: Sequence[float], log2_counts: Sequence[float],
+def _bits(splits: Sequence[float], log2_counts: Sequence[float] | None,
           log2_masses: Sequence[float], masses: Sequence[float],
           weights: Iterable[float]) -> tuple[float, float]:
     """(Deng entropy, split scale), both in bits, over nonempty columns.
 
     Layer weights formed as 2^(lc + lm) stay finite where count * mass
     would overflow or underflow a double; the split scale is a log-sum of
-    count * (2^k - 1)^mass terms, each kept as its log2, lc + m * s.
+    count * (2^k - 1)^mass terms, each kept as its log2, lc + m * s, or
+    m * s with no count column.
     """
     entropy = math.fsum(map(mul, weights, map(sub, splits, log2_masses)))
-    split = _logsumexp2(list(map(add, log2_counts, map(mul, masses, splits))))
-    return entropy, split
+    terms = map(mul, masses, splits)
+    if log2_counts is not None:
+        terms = map(add, log2_counts, terms)
+    return entropy, _logsumexp2(list(terms))
 
 
 def _logsumexp2(values: list[float]) -> float:
@@ -130,7 +132,7 @@ def _logsumexp2(values: list[float]) -> float:
 def _report(columns: Columns) -> DimensionReport:
     s, lc = columns[:2]
     # one focal set of cardinality 1 is the only split scale of exactly 0
-    if len(s) == 1 and s[0] == 0.0 and lc[0] == 0.0:
+    if len(s) == 1 and s[0] == 0.0 and (lc is None or lc[0] == 0.0):
         return DimensionReport(0.0, 0.0, 0.0, True)
     entropy, split = _bits(*columns)
     return DimensionReport(entropy, split, entropy / split, False)

@@ -9,7 +9,8 @@ largest first, which keeps the exact sum cheap.
 """
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .core import EvidenceError, _check_frame_size, _is_real, _shown
@@ -126,6 +127,55 @@ def render_rows(header: tuple[str, ...], rows, fmt: str, decimals: int) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def render_json(payload) -> str:
+    """The text of ``json.dumps(payload, indent=2)`` and a newline.
+
+    ``json.dumps`` with an indent runs json's pure-Python encoder; this
+    writes the same bytes directly: strings escaped to ASCII, floats as
+    ``float.__repr__`` or ``NaN``, ``Infinity`` and ``-Infinity``, ints as
+    ``int.__repr__``, ``true``, ``false`` and ``null``, and lists, tuples
+    and dicts with str keys.  Any other value raises json's ``TypeError``.
+    """
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, indent: str) -> str:
+    # the order of json's own tests: a bool is an int, and an int or float
+    # subclass is written as its base type
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json(item, inner) for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def render_table(
     table: ConvergenceTable,
     fmt: str = "csv",
@@ -135,9 +185,10 @@ def render_table(
     """Render as csv, markdown, or json, with an optional verdict.
 
     csv and markdown round half-to-even to ``decimals`` and end with a
-    ``converged limit=...`` line when a verdict is given; json always
-    carries full-precision values and the verdict as a ``"verdict"`` key.
-    ``decimals`` must be an int (not a bool or a float) in ``DECIMALS``.
+    ``converged limit=...`` line when a verdict is given; json, written by
+    :func:`render_json`, always carries full-precision values and the
+    verdict as a ``"verdict"`` key.  ``decimals`` must be an int (not a
+    bool or a float) in ``DECIMALS``.
     """
     if type(decimals) is not int or decimals not in DECIMALS:
         raise ValueError(f"decimals must be an int between {DECIMALS[0]} and {DECIMALS[-1]}")
@@ -145,7 +196,7 @@ def render_table(
         payload = {"family": table.family, "rows": [dict(zip(_HEADER, row)) for row in table.rows]}
         if verdict is not None:
             payload["verdict"] = verdict._asdict()
-        return json.dumps(payload, indent=2) + "\n"
+        return render_json(payload)
     out = render_rows(_HEADER, table.rows, fmt, decimals)
     if verdict is not None:
         word = "converged" if verdict.converged else "not-converged"

@@ -50,10 +50,17 @@ class TestCompute:
         assert payload["degenerate"] is False
         assert list(payload) == ["entropy_bits", "split_scale_bits", "dimension", "degenerate"]
 
-    def test_json_output_round_trips_byte_identical(self, example_file, capsys):
-        main(["compute", example_file])
-        out = capsys.readouterr().out
-        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+    def test_json_output_round_trips_byte_identical(self, tmp_path, capsys):
+        # a regular and a degenerate report, in each base
+        point = {"frame": ["a"], "focal": [{"elements": ["a"], "mass": 1.0}]}
+        for degenerate, payload in ((False, EXAMPLE), (True, point)):
+            path = tmp_path / "mass.json"
+            path.write_text(json.dumps(payload))
+            for base in ("2", "e", "10"):
+                assert main(["compute", str(path), "--base", base]) == 0
+                out = capsys.readouterr().out
+                assert json.loads(out)["degenerate"] is degenerate
+                assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
     def test_csv_format(self, example_file, capsys):
         assert main(["compute", example_file, "--format", "csv"]) == 0
@@ -237,8 +244,15 @@ class TestComputeErrors:
         assert code == 2
         assert len(err) < 400 and "Traceback" not in err
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, monkeypatch, capsys):
         assert main(["compute", str(tmp_path / "absent.json")]) == 2
+        capsys.readouterr()
+        # the message names the path as typed, ./ included
+        monkeypatch.chdir(tmp_path)
+        assert main(["compute", "./missing.json"]) == 2
+        assert capsys.readouterr().err == (
+            "error: FileNotFoundError: [Errno 2] No such file or directory: './missing.json'\n"
+        )
 
     def test_bad_decimals(self, example_file):
         assert main(["compute", example_file, "--decimals", "0"]) == 2
@@ -263,7 +277,9 @@ class TestSweep:
         assert main(
             ["sweep", "vacuous", "1", "10", "--format", "json", "--detect-limit", "1e-9", "3"]
         ) == 0
-        payload = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+        payload = json.loads(out)
         assert payload["verdict"]["converged"] is True
         assert payload["verdict"]["achieved_at_n"] == 2
         assert len(payload["rows"]) == 10

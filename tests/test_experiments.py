@@ -1,14 +1,19 @@
 """Convergence sweeps, limit detection, rendering, and golden files."""
 from __future__ import annotations
 
+import enum
 import json
+import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from evidim import (
+    ConvergenceRow,
     ConvergenceTable,
+    ConvergenceVerdict,
     DetectionParameterError,
     EvidenceError,
     InsufficientRowsError,
@@ -18,6 +23,8 @@ from evidim import (
     render_table,
     run_convergence,
 )
+from evidim.cli import _REPORT_HEADER
+from evidim.experiments import render_json
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 GOLDEN_SWEEPS = {
@@ -182,6 +189,98 @@ class TestRenderTable:
         # exact binary ties resolve to the even digit
         assert f"{0.0625:.3f}" == "0.062"
         assert f"{0.1875:.3f}" == "0.188"
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _table_payload(table, verdict=None) -> dict:
+    """The object render_table's json format writes, as json.dumps takes it."""
+    payload = {
+        "family": table.family,
+        "rows": [dict(zip(("N", "entropy_bits", "split_scale_bits", "dimension"), row))
+                 for row in table.rows],
+    }
+    if verdict is not None:
+        payload["verdict"] = verdict._asdict()
+    return payload
+
+
+# doubles whose text is easy to get wrong: signed zeros, the smallest
+# subnormal and normal, exponent forms on both sides of 1e16, the largest
+# double, and the non-finite values json spells NaN and Infinity
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-07, 0.0001, 1.5, 1e16,
+    123456789012345.67, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+]
+
+
+class _Count(enum.IntEnum):
+    SEVEN = 7
+
+
+class _Bits(float):
+    def __repr__(self) -> str:
+        return "bits"
+
+
+class TestRenderJson:
+    """render_json writes json.dumps(payload, indent=2) and a newline, byte
+    for byte, for each payload the compute report and render_table build."""
+
+    @pytest.mark.parametrize("value", _EDGE_FLOATS, ids=repr)
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_compute_reports(self, value, degenerate):
+        for base in (1.0, math.log(2), math.log10(2)):
+            row = (value * base, -value * base, value, degenerate)
+            payload = dict(zip(_REPORT_HEADER, row))
+            assert render_json(payload) == _dumps(payload)
+
+    @pytest.mark.parametrize("verdict", [
+        None,
+        ConvergenceVerdict(False, 1.5, None, 1e-9),
+        ConvergenceVerdict(True, 1.0, 3, 1e-9),
+        ConvergenceVerdict(True, 1.0, 1, 1),
+        ConvergenceVerdict(False, math.nan, None, math.inf),
+    ], ids=["none", "not-converged", "converged", "int-tolerance", "non-finite"])
+    @pytest.mark.parametrize("family", ["max-deng", "m\u00e4x-d\u00e9ng \u2211\U0001d53b \"q\"\\\t"])
+    def test_tables(self, verdict, family):
+        rows = run_convergence("max-deng", 1, 6).rows
+        table = ConvergenceTable(family, rows)
+        assert render_table(table, "json", 4, verdict) == _dumps(_table_payload(table, verdict))
+
+    def test_detected_verdicts(self):
+        table = run_convergence("vacuous", 1, 8)
+        for tol in (1e-9, 1, 2.5):
+            verdict = detect_limit(table, 3, tol)
+            assert render_table(table, "json", 4, verdict) == _dumps(_table_payload(table, verdict))
+        table = run_convergence("max-deng", 1, 8)
+        verdict = detect_limit(table, 5, 1e-6)
+        assert verdict.achieved_at_n is None
+        assert render_table(table, "json", 4, verdict) == _dumps(_table_payload(table, verdict))
+
+    def test_edge_rows_and_empty_containers(self):
+        rows = [ConvergenceRow(n, value, -value, value) for n, value in enumerate(_EDGE_FLOATS)]
+        for table in (ConvergenceTable("edge", tuple(rows)), ConvergenceTable("empty", ())):
+            assert render_table(table, "json") == _dumps(_table_payload(table))
+        for payload in ({}, [], {"rows": []}, {"a": [{}, [], None, "", 0, -1, 10 ** 30]}):
+            assert render_json(payload) == _dumps(payload)
+
+    def test_subclasses_are_written_as_their_base_type(self):
+        rows = (ConvergenceRow(_Count.SEVEN, _Bits(1.25), _Bits(-0.0), 1.0),)
+        table = ConvergenceTable("subclass", rows)
+        text = render_table(table, "json")
+        assert text == _dumps(_table_payload(table))
+        assert '"N": 7,' in text and '"entropy_bits": 1.25,' in text
+
+    def test_other_values_raise_json_error(self):
+        verdict = ConvergenceVerdict(True, 1.0, 1, Fraction(1, 1000))
+        table = run_convergence("vacuous", 1, 2)
+        with pytest.raises(TypeError) as expected:
+            _dumps(_table_payload(table, verdict))
+        with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+            render_table(table, "json", 4, verdict)
 
 
 class TestPlotData:
