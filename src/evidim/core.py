@@ -183,6 +183,12 @@ class _Value:
             object.__setattr__(self, name, value)
 
 
+def _frame_too_large(size: int) -> FrameTooLargeError:
+    return FrameTooLargeError(
+        f"explicit frames are capped at {MAX_EXPLICIT_FRAME} elements, got {size}"
+    )
+
+
 class Frame(_Value):
     """Ordered universe of distinct outcome labels.
 
@@ -213,9 +219,7 @@ class Frame(_Value):
                 seen.add(lab)
             raise DuplicateLabelError(f"frame labels are not distinct: {_shown(list(repeated))}")
         if len(labels) > MAX_EXPLICIT_FRAME:
-            raise FrameTooLargeError(
-                f"explicit frames are capped at {MAX_EXPLICIT_FRAME} elements, got {len(labels)}"
-            )
+            raise _frame_too_large(len(labels))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_bits", {lab: 1 << i for i, lab in enumerate(labels)})
 
@@ -250,9 +254,12 @@ class Frame(_Value):
     @staticmethod
     def generic(size: int) -> Frame:
         """Frame with synthesized labels e1..eN; a size below 1 leaves no
-        label, an EmptyFrameError."""
+        label, an EmptyFrameError.  A size past the cap is refused before
+        any label is made."""
         if type(size) is not int:
             _check_frame_size(size)
+        if size > MAX_EXPLICIT_FRAME:
+            raise _frame_too_large(size)
         return Frame(tuple(f"e{i}" for i in range(1, size + 1)))
 
 

@@ -6,31 +6,31 @@ Parsing is strict: unknown, missing and repeated keys and duplicate
 (order-insensitive) subsets are rejected, and each focal entry's labels
 are checked as it is read.
 
-Every text is first decoded with each well-formed focal entry turned
-straight into its bit mask: the decoder numbers labels in the order it
-first sees them, appends each entry's mask and mass to two columns and
-leaves one shared sentinel in the entry's place.  The JSON scanner shares
-repeated object keys but makes a new string for every label in an array,
-so a label string lives only until its entry is decoded, and an entry
-leaves only its mask and its mass behind.  The decode stops at the first
-entry that is not a mask.  A text that opens with ``"frame"``, as
-:func:`mass_to_json` output and ``json.dumps`` of a ``{"frame",
-"focal"}`` dict do, has that value decoded on its own first, and a list
-of at most 64 strings seeds the numbering in frame order, so the masks
-come out on the frame's bits.  Only when ``"focal"`` comes first are the
-masks renumbered onto the frame's bits once it is known, by per-run
-tables.
+The frame numbers every mask.  A valid document has exactly the keys
+``"frame"`` and ``"focal"``, so its frame opens or closes the text: the
+labels of that frame are read from the text first, and each well-formed
+focal entry is decoded straight onto their bits, its mask and mass
+appended to two columns and one shared sentinel left in its place.  The
+JSON scanner shares repeated object keys but makes a new string for every
+label in an array, so a label string lives only until its entry is
+decoded, and an entry leaves only its mask and its mass behind.
 
-A text that does not decode to that form (an invalid document, an entry
-nested in another, or an entry with an unknown, repeated or non-string
-label or no labels) is parsed again by the strict path, which names the error: each entry
-becomes a plain dict whose keys are checked and whose labels
-:meth:`Frame._mask` looks up, so the errors, their messages and their
-order are that path's.  A valid entry that repeats a label is the one
+The 64-label limit on that guessed frame is the memory bound: a guess of
+more labels is dropped and any label outside it stops the decode, so no
+mask is wider than 64 bits whatever the text lists.
+
+Every other text goes to the strict path: one whose frame is neither
+first nor last (a key written with an escape is not found), whose guessed
+frame holds more than 64 labels or does not match the decoded document's
+frame, or that has an entry nested in another or an entry with an
+unknown, repeated or non-string label or no labels.  That path names the
+error: each entry becomes a plain dict whose keys are checked and whose
+labels :meth:`Frame._mask` looks up, so the errors, their messages and
+their order are its own.  A valid entry that repeats a label is the one
 input it parses to a mass function.  The masses of a decoded text go to
 the :class:`MassFunction` constructor as written, in entry order on the
-same masks as the strict path's, so it rejects a mass that is not a
-real number as that path does.
+same masks as the strict path's, so it rejects a mass that is not a real
+number as that path does.
 
 :func:`mass_to_json` writes the entries in runs of a fixed length and
 joins each run into one string before the next run starts, so only one
@@ -57,44 +57,53 @@ def _checked_object(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
-class _FirstSeen(dict):
-    """Labels numbered in the order they are first seen, each new one the
-    next bit.  A label past the 64th is a KeyError: no frame holds it."""
-
-    __slots__ = ()
-
-    def __missing__(self, label):
-        if len(self) == MAX_EXPLICIT_FRAME:
-            raise KeyError(label)
-        bit = self[label] = 1 << len(self)
-        return bit
-
-
-# the opening of a text whose first key is "frame", up to that key's value;
-# json.loads allows whitespace around every token.  re compiles it on the
-# first parse (about 0.2 ms), so importing the module or a sweep never does
-_FRAME_FIRST = r'[ \t\n\r]*\{[ \t\n\r]*"frame"[ \t\n\r]*:[ \t\n\r]*'
+# a "frame" key up to its value, and the opening of a text whose first key
+# it is; json.loads allows whitespace around every token.  re compiles them
+# on the first parse (about 0.2 ms), so importing the module or a sweep
+# never does
+_FRAME_KEY = r'"frame"[ \t\n\r]*:[ \t\n\r]*'
+_FRAME_FIRST = r'[ \t\n\r]*\{[ \t\n\r]*' + _FRAME_KEY
 _decoded_value = json.JSONDecoder().raw_decode
 
 
-def _leading_frame(text: str) -> list[str]:
-    """The labels of a ``"frame"`` that opens ``text``, when it decodes to
-    a list of at most :data:`MAX_EXPLICIT_FRAME` strings, else no labels:
-    any other frame is left to the full decode to accept or reject."""
+def _frame_start(text: str) -> int:
+    """Where the value of the ``"frame"`` key that opens ``text`` starts or,
+    failing that, of the last ``"frame"`` followed by a colon, past at most
+    one label ``"frame"`` of the frame itself; -1 when neither is found."""
     opening = re.match(_FRAME_FIRST, text)
-    if opening is None:
-        return []
+    if opening is not None:
+        return opening.end()
+    key = re.compile(_FRAME_KEY)
+    at = len(text)
+    for _ in range(2):
+        at = text.rfind('"frame"', 0, at)
+        if at < 0:
+            break
+        closing = key.match(text, at)
+        if closing is not None:
+            return closing.end()
+    return -1
+
+
+def _guessed_frame(text: str) -> list[str] | None:
+    """The labels of the frame that opens or closes ``text``
+    (:func:`_frame_start`), when its value decodes to a list of at most
+    :data:`MAX_EXPLICIT_FRAME` strings, else ``None``: any other frame is
+    left to the strict path to accept or reject."""
+    start = _frame_start(text)
+    if start < 0:
+        return None
     try:
-        labels = _decoded_value(text, opening.end())[0]
+        labels = _decoded_value(text, start)[0]
     except (ValueError, RecursionError):
-        return []
+        return None
     if (
         type(labels) is list
         and len(labels) <= MAX_EXPLICIT_FRAME
         and all(type(label) is str for label in labels)
     ):
         return labels
-    return []
+    return None
 
 
 # what the mask decode's hook returns for an entry it moved into its columns
@@ -103,22 +112,6 @@ _DECODED = object()
 
 class _NotAMask(Exception):
     """An entry's labels repeat or are empty: the mask decode stops."""
-
-
-def _renumbered(masks: list[int], bits: list[int]) -> list[int]:
-    """``masks`` with bit i of each replaced by ``bits[i]``, by tables: each
-    run of 8 bits gets a table indexed by a mask's byte over that run, each
-    entry the union of the ``bits`` the byte selects, so a mask takes one
-    lookup per run."""
-    renumbered = [0] * len(masks)
-    for start in range(0, len(bits), 8):
-        table = [0]
-        for bit in bits[start:start + 8]:
-            table += [chosen | bit for chosen in table]
-        renumbered = [
-            chosen | table[mask >> start & 255] for chosen, mask in zip(renumbered, masks)
-        ]
-    return renumbered
 
 
 def _exact_keys(value, keys: frozenset, what: str):
@@ -150,32 +143,33 @@ def _frame_and_focal(data) -> tuple[Frame, list]:
 def mass_from_json(text: str) -> MassFunction:
     """Parse the JSON mass-function format, strictly.
 
-    The text is decoded to masks (:func:`_mask_decoded`); one that does
-    not decode to masks is parsed entry by entry
-    (:func:`_strict_mass_from_json`), which gives the same mass function
-    or names the error.
+    The frame that opens or closes the text numbers every mask
+    (:func:`_mask_decoded`); a text whose frame is neither, or whose
+    entries do not all decode to masks over that frame, is parsed entry by
+    entry (:func:`_strict_mass_from_json`), which names the error.  Both
+    give the same mass function.
     """
     mass = _mask_decoded(text)
     return _strict_mass_from_json(text) if mass is None else mass
 
 
 def _mask_decoded(text: str) -> MassFunction | None:
-    """The mass function, when every focal entry decodes to a mask over
-    labels in first-seen order and every label is in the frame.  A leading
-    frame (:func:`_leading_frame`) is numbered first, so its labels are
-    seen in frame order; otherwise the masks are renumbered onto the
-    frame's bits unless the labels were first seen in frame order.
-    ``None`` for any other document that decodes.  The errors it raises
-    are those :func:`_strict_mass_from_json` raises on the same text.
+    """The mass function, when every focal entry decodes to a mask on the
+    bits of the guessed frame (:func:`_guessed_frame`) and that guess is
+    the decoded document's frame.  ``None`` for a text with no guess and
+    for any other document that decodes.  The errors it raises are those
+    :func:`_strict_mass_from_json` raises on the same text.
 
-    The hook appends each entry's mask and mass to two columns and leaves
+    A guess holds at most :data:`MAX_EXPLICIT_FRAME` labels and any other
+    label stops the decode, so no mask is wider than 64 bits.  The hook
+    appends each entry's mask and mass to two columns and leaves
     :data:`_DECODED` in its place, so a document is taken only when its
     focal list is all such entries and holds every one decoded.
     """
-    seen = _FirstSeen()
-    bit_of = seen.__getitem__
-    for label in _leading_frame(text):
-        bit_of(label)
+    guess = _guessed_frame(text)
+    if guess is None:
+        return None
+    bit_of = {label: 1 << i for i, label in enumerate(guess)}.__getitem__
     masks: list[int] = []
     masses: list = []
     add_mask, add_mass = masks.append, masses.append
@@ -186,7 +180,7 @@ def _mask_decoded(text: str) -> MassFunction | None:
             if key == "mass":
                 key, labels, other, mass = other, mass, key, labels
             if key == "elements" and other == "mass" and type(labels) is list:
-                # a label past the 64th is a KeyError, an unhashable one a TypeError
+                # an unknown label is a KeyError, an unhashable one a TypeError
                 mask = sum(map(bit_of, labels))
                 # distinct bits add without a carry, so a repeated label
                 # lowers the count; no labels leave the mask 0
@@ -208,12 +202,9 @@ def _mask_decoded(text: str) -> MassFunction | None:
         return None
     frame, focal = _frame_and_focal(data)
     entries_only = len(focal) == len(masks) and focal.count(_DECODED) == len(focal)
-    del data, focal  # a sentinel per entry, freed before the renumbering
-    if not (entries_only and seen.keys() <= frame._bits.keys()):
+    del data, focal  # a sentinel per entry, freed before the constructor runs
+    if not (entries_only and frame.labels == tuple(guess)):
         return None
-    labels = tuple(seen)
-    if labels != frame.labels[:len(labels)]:
-        masks = _renumbered(masks, list(map(frame._bits.__getitem__, labels)))
     return MassFunction(frame, masks, masses)
 
 

@@ -145,6 +145,16 @@ class TestExactness:
             attained = information_dimension_profile(max_deng(n)).entropy_bits
             assert attained == pytest.approx(max_deng_entropy(n), abs=1e-10), n
 
+    @pytest.mark.parametrize("family", ["vacuous", "uniform-bayesian"])
+    def test_dimension_is_exactly_one_from_two_labels_on(self, family):
+        # exact, not within a tolerance, at every N up to the profile limit;
+        # one label has a zero split scale, reported as dimension 0
+        dimensions = [
+            information_dimension_profile(family_profile(family, n)).dimension
+            for n in range(1, PROFILE_LIMIT + 1)
+        ]
+        assert dimensions == [0.0] + [1.0] * (PROFILE_LIMIT - 1)
+
 
 class TestBounds:
     def test_profile_limit(self):
