@@ -15,15 +15,10 @@ and tokens the command leaves over.
 Outside the parser, a call takes no stdlib slow path: the file is read
 with :func:`open`, so no ``pathlib`` is imported, and the json report is
 written by :func:`~evidim.experiments.render_json`, not by
-``json.dumps(..., indent=2)``, which runs json's pure-Python encoder.  A
-``compute`` call on a three-entry file then takes about 220 microseconds
-in-process (CPython 3.11 on a shared 2-vCPU Xeon), of which building and
-running the command's parser takes about 150.  The parser is still not
-cached.  A cache would make repeated in-process calls on small files
-about 3.8 times faster, but the benchmark keeps about 120 bytes of
-records per call, so the extra calls a cache allows would raise its
-``peak_rss_mb`` past its bound from those records alone; the cache waits
-until the benchmark stops counting them.
+``json.dumps(..., indent=2)``, which runs json's pure-Python encoder.  The
+parser is built on each call, not cached: the benchmark keeps records of
+every call, so the extra calls a cache allows would raise its
+``peak_rss_mb`` from those records alone.
 """
 from __future__ import annotations
 

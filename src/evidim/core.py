@@ -39,15 +39,14 @@ bounds check, and since C(N, k) = C(N, N - k) as ints, the log2 of their
 counts is taken up to N // 2 and mirrored, the same bits.  Listed counts
 are checked against :func:`math.comb`, in C-level passes that fall back
 to a walk over the layers only to name the first bad one.  The log2 of
-each count, each layer's weight (count * mass, formed once as
-2^(log2 count + log2 mass)) and one order of the layers, largest weight
-first, are kept as derived slots, so that
-:meth:`CardinalityProfile.total_mass`, the ``math.fsum`` of the weights,
-and the dimension kernel sort nothing and form no weight again.  A
-column is put in that order by one ``operator.itemgetter`` call
-(:func:`_gather`).  The tables ``_NUMERATORS``, 2^k - 1 as exact ints,
-and ``_SPLITS``, its log2, for k up to :data:`PROFILE_LIMIT`, live here,
-so that the dimension kernel and the families read one copy.
+each count and each layer's weight (count * mass, formed once as
+2^(log2 count + log2 mass)) are kept as derived slots, ascending in
+cardinality like the fields, so that the dimension kernel forms no
+weight again.  Every sum over a profile's layers runs through
+:func:`_fsum_largest_first`, which sorts that sum's own terms.  The
+tables ``_NUMERATORS``, 2^k - 1 as exact ints, and ``_SPLITS``, its
+log2, for k up to :data:`PROFILE_LIMIT`, live here, so that the
+dimension kernel and the families read one copy.
 
 All types are immutable after construction and safe to share across
 threads: ``__slots__`` classes on one private base, :class:`_Value`,
@@ -459,17 +458,16 @@ class CardinalityProfile(_Value):
     """
 
     _fields = ("frame_size", "cards", "counts", "masses", "log2_masses")
-    __slots__ = (*_fields, "_log2_counts", "_order", "_weights")
+    __slots__ = (*_fields, "_log2_counts", "_weights")
     frame_size: int
     cards: tuple[int, ...]
     counts: tuple[int, ...]
     masses: tuple[float, ...]
     log2_masses: tuple[float, ...]
-    # derived while validating, so not compared: the log2 of each count, the
-    # layer indices by weight, count * mass formed as 2^(log2 count + log2
-    # mass), largest first, and those weights in that order
+    # derived while validating, so not compared, and ascending in cardinality
+    # like the fields: the log2 of each count, and each layer's weight, count
+    # * mass formed as 2^(log2 count + log2 mass)
     _log2_counts: tuple[float, ...]
-    _order: tuple[int, ...]
     _weights: tuple[float, ...]
 
     def __init__(self, *args, **kwargs):
@@ -543,10 +541,9 @@ class CardinalityProfile(_Value):
         Listed cardinalities and counts pass a few C-level checks against
         :func:`math.comb`; only a profile that fails them is walked layer
         by layer, to name its first bad layer.  Each layer's weight,
-        2^(log2 count + log2 mass), is formed once and the layers ordered
-        once, largest weight first, for :meth:`total_mass` and the
-        dimension kernel; a weight too large for a float makes the total
-        ``inf``.
+        2^(log2 count + log2 mass), is formed once, for :meth:`total_mass`
+        and the dimension kernel; a weight too large for a float makes the
+        total ``inf``.
         """
         _check_frame_size(frame_size)
         if counts is None:
@@ -569,10 +566,10 @@ class CardinalityProfile(_Value):
                 raise _first_bad_layer(frame_size, cards, counts)
             log2_counts = tuple(map(math.log2, counts))
         try:
-            weights = list(map(pow, repeat(2.0), map(add, log2_counts, log2_masses)))
+            weights = tuple(map(pow, repeat(2.0), map(add, log2_counts, log2_masses)))
         except OverflowError:
             raise NonUnitTotalError("profile masses sum to inf, expected 1") from None
-        order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
+        _check_unit_total(weights, "profile masses", _fsum_largest_first)
         profile = cls.__new__(cls)
         object.__setattr__(profile, "frame_size", frame_size)
         object.__setattr__(profile, "cards", tuple(cards))
@@ -580,17 +577,13 @@ class CardinalityProfile(_Value):
         object.__setattr__(profile, "masses", tuple(masses))
         object.__setattr__(profile, "log2_masses", tuple(log2_masses))
         object.__setattr__(profile, "_log2_counts", log2_counts)
-        object.__setattr__(profile, "_order", tuple(order))
-        object.__setattr__(profile, "_weights", _gather(order)(weights))
-        _check_unit_total(profile._weights, "profile masses")
+        object.__setattr__(profile, "_weights", weights)
         return profile
 
     def total_mass(self) -> float:
         """Sum of count * mass over all layers: the correctly rounded sum
         of the layer weights, 2^(log2 count + log2 mass) each."""
-        # the weights are kept largest first: math.fsum stays cheap when
-        # magnitudes fall, and its result is the same bits in any order
-        return math.fsum(self._weights)
+        return _fsum_largest_first(self._weights)
 
     def to_mass(self, frame: Frame | None = None) -> MassFunction:
         """Expand into an explicit mass function, enumerating every subset
@@ -782,12 +775,21 @@ def _checked_entries(frame: Frame, masks: list[int], masses: list) -> dict[int, 
     return kept
 
 
-def _check_unit_total(terms: Iterable[float], what: str):
-    """Reject masses whose exact sum is further than
+def _fsum_largest_first(terms: Iterable[float]) -> float:
+    """``math.fsum`` of the terms, largest first: the sum of a profile's
+    layers.  fsum is correctly rounded in any order, but keeps one partial
+    per non-overlapping magnitude, so terms spanning hundreds of binary
+    orders, rising as a profile's do in cardinality order, keep its partials
+    list growing; falling, they keep it short."""
+    return math.fsum(sorted(terms, reverse=True))
+
+
+def _check_unit_total(terms: Iterable[float], what: str, fsum=math.fsum):
+    """Reject masses whose exact sum, taken by ``fsum``, is further than
     :data:`MASS_TOLERANCE` from 1; a sum too large for a float reads as
     ``inf``."""
     try:
-        total = math.fsum(terms)
+        total = fsum(terms)
     except OverflowError:
         total = math.inf
     if abs(total - 1.0) > MASS_TOLERANCE:

@@ -17,17 +17,19 @@ distribution.  Each sum runs through one kernel, :func:`_bits`, over five
 parallel columns that this module alone builds and reads: an explicit
 mass function gives one entry per focal set and a distribution one entry
 per outcome, each with no count column, and a profile one entry per
-cardinality layer.  No row object is built per entry.  A profile's columns
-follow the order its construction kept, largest layer weight first, each
-gathered by one ``operator.itemgetter`` call, and reuse the weights it
-formed then, so the kernel sorts nothing and forms no power of two for
-the entropy; an explicit mass or a distribution hands it the same powers,
-2^(log2 m), as a lazy column.  The split column reads log2(2^k - 1) from
+cardinality layer.  No row object is built per entry.  A profile passes
+its own columns, ascending in cardinality, and the weights it formed when
+built, so the kernel forms no power of two for its entropy; an explicit
+mass or a distribution hands it the same powers, 2^(log2 m), as a lazy
+column.  A profile's two sums each sort their own terms, largest first
+(``core._fsum_largest_first``); an explicit mass's or a distribution's
+stream into ``math.fsum`` in entry order.  fsum is correctly rounded, so
+no order changes a bit.  The split column reads log2(2^k - 1) from
 ``core._SPLITS``, a table up to the widest family profile, k =
 ``PROFILE_LIMIT``: a profile whose cards are 1..n within it, as every
-full-layer family's are, gathers the slice for 1..n in one call, and any
-other reads the table per layer, a k past it as float(k), the same bits.
-Another base is a display choice, one division the caller makes.
+full-layer family's are, takes the slice for 1..n, and any other reads the
+table per layer, a k past it as float(k), the same bits.  Another base is
+a display choice, one division the caller makes.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     _SPLITS, CardinalityProfile, MassFunction, ProbabilityDistribution, _check_frame_size,
-    _gather,
+    _fsum_largest_first,
 )
 
 # Every sum runs over five parallel columns, one entry per layer of focal
@@ -46,9 +48,8 @@ from .core import (
 # exactly when k is 1); lc, log2 of the focal-set count, or None when every
 # layer is one set; lm, log2 of the per-set mass; m, the per-set mass; and
 # w, the layer's weight, count * mass formed as 2^(lc + lm).  The kernel
-# streams its terms into math.fsum, reading w once, so w may be a lazy
-# iterable, and keeps one column of its own: the split scale's log2 terms,
-# whose max it takes before their sum.
+# reads w once, so w may be a lazy iterable, and keeps one column of its own:
+# the split scale's log2 terms, whose max it takes before their sum.
 Columns = tuple[
     Sequence[float], Sequence[float] | None, Sequence[float], Sequence[float], Iterable[float]
 ]
@@ -77,27 +78,15 @@ def _mass_columns(mass: MassFunction) -> Columns:
 
 
 def _profile_columns(profile: CardinalityProfile) -> Columns:
-    # Largest layer weight 2^(log2 count + log2 mass) first, the order the
-    # profile kept: math.fsum keeps one partial per non-overlapping
-    # magnitude, and terms spanning hundreds of binary orders in ascending
-    # order keep its partials list growing.  fsum is correctly rounded in
-    # any order, so the order changes no bit.  Cards 1..n within the split
-    # table, as in every full-layer family, gather its slice 1..n; other
-    # cards read it one by one, and a k past it, as in vacuous(20000), reads
-    # as float(k), the same bits.
-    gather = _gather(profile._order)
+    # Cards 1..n within the split table, as in every full-layer family, take
+    # its slice 1..n; other cards read it one by one, and a k past it, as in
+    # vacuous(20000), reads as float(k), the same bits.
     cards, top = profile.cards, len(_SPLITS)
     if cards[-1] == len(cards) < top:
-        splits = gather(_SPLITS[1:len(cards) + 1])
+        splits = _SPLITS[1:len(cards) + 1]
     else:
-        splits = [_SPLITS[k] if k < top else float(k) for k in gather(cards)]
-    return (
-        splits,
-        gather(profile._log2_counts),
-        gather(profile.log2_masses),
-        gather(profile.masses),
-        profile._weights,
-    )
+        splits = [_SPLITS[k] if k < top else float(k) for k in cards]
+    return splits, profile._log2_counts, profile.log2_masses, profile.masses, profile._weights
 
 
 def _probability_columns(dist: ProbabilityDistribution) -> Columns:
@@ -114,19 +103,18 @@ def _bits(splits: Sequence[float], log2_counts: Sequence[float] | None,
     Layer weights formed as 2^(lc + lm) stay finite where count * mass
     would overflow or underflow a double; the split scale is a log-sum of
     count * (2^k - 1)^mass terms, each kept as its log2, lc + m * s, or
-    m * s with no count column.
+    m * s with no count column.  A count column marks a profile, whose
+    sums run largest first.
     """
-    entropy = math.fsum(map(mul, weights, map(sub, splits, log2_masses)))
+    fsum = math.fsum if log2_counts is None else _fsum_largest_first
+    entropy = fsum(map(mul, weights, map(sub, splits, log2_masses)))
     terms = map(mul, masses, splits)
     if log2_counts is not None:
         terms = map(add, log2_counts, terms)
-    return entropy, _logsumexp2(list(terms))
-
-
-def _logsumexp2(values: list[float]) -> float:
-    """log2 of a sum of powers of two, shifted to avoid overflow."""
-    top = max(values)
-    return top + math.log2(math.fsum(map(pow, repeat(2.0), map(sub, values, repeat(top)))))
+    # log2 of a sum of powers of two, shifted by the largest to avoid overflow
+    terms = list(terms)
+    top = max(terms)
+    return entropy, top + math.log2(fsum(map(pow, repeat(2.0), map(sub, terms, repeat(top)))))
 
 
 def _report(columns: Columns) -> DimensionReport:

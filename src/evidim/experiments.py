@@ -4,8 +4,7 @@ table rendering.
 A sweep evaluates one family at every N in a range and records the
 (entropy, split scale, dimension) triple per row.  Output is
 deterministic: each row's sums are exact (``math.fsum`` rounds correctly),
-so no order of the terms changes a bit; the profile path feeds them
-largest first, which keeps the exact sum cheap.
+so no order of the terms changes a bit.
 """
 from __future__ import annotations
 
@@ -109,7 +108,8 @@ def render_rows(header: tuple[str, ...], rows, fmt: str, decimals: int) -> str:
     """csv or markdown text of ``rows`` under ``header``.
 
     Floats round half-to-even to ``decimals``; bools read ``true`` /
-    ``false`` and ints print as they are.
+    ``false`` and ints print as they are.  Any other ``fmt`` is an
+    :class:`EvidenceError`.
     """
     def cell(value) -> str:
         if isinstance(value, bool):
@@ -124,7 +124,7 @@ def render_rows(header: tuple[str, ...], rows, fmt: str, decimals: int) -> str:
     if fmt == "markdown":
         lines.insert(1, ["---"] * len(header))
         return "".join("| " + " | ".join(line) + " |\n" for line in lines)
-    raise ValueError(f"unknown format {fmt!r}")
+    raise EvidenceError(f"unknown format {fmt!r}")
 
 
 def render_json(payload) -> str:
@@ -188,10 +188,10 @@ def render_table(
     ``converged limit=...`` line when a verdict is given; json, written by
     :func:`render_json`, always carries full-precision values and the
     verdict as a ``"verdict"`` key.  ``decimals`` must be an int (not a
-    bool or a float) in ``DECIMALS``.
+    bool or a float) in ``DECIMALS``, or :class:`EvidenceError` says so.
     """
     if type(decimals) is not int or decimals not in DECIMALS:
-        raise ValueError(f"decimals must be an int between {DECIMALS[0]} and {DECIMALS[-1]}")
+        raise EvidenceError(f"decimals must be an int between {DECIMALS[0]} and {DECIMALS[-1]}")
     if fmt == "json":
         payload = {"family": table.family, "rows": [dict(zip(_HEADER, row)) for row in table.rows]}
         if verdict is not None:

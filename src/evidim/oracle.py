@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import fsum, log2
 from operator import mul, truediv
 
-from .core import MassFunction
+from .core import EvidenceError, MassFunction, _is_real, _shown
 from .dimension import DimensionReport
 
 
@@ -31,9 +31,10 @@ def brute_force_report(mass: MassFunction) -> DimensionReport:
 
 def compare_reports(a: DimensionReport, b: DimensionReport, tol: float) -> bool:
     """True iff the degenerate flags match and all numeric fields agree
-    within ``tol``."""
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    within ``tol``, a real number (not a bool) above 0, or
+    :class:`EvidenceError` names it."""
+    if not (_is_real(tol) and tol > 0.0):
+        raise EvidenceError(f"tolerance {_shown(tol)} is not a real number above 0")
     return (
         a.degenerate == b.degenerate
         and abs(a.entropy_bits - b.entropy_bits) <= tol

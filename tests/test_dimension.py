@@ -343,7 +343,7 @@ class TestSumOrder:
     @settings(max_examples=80, deadline=None)
     def test_profile_sums_match_ascending_order_bit_for_bit(self, case):
         # the profile path sums its terms largest first; math.fsum is
-        # correctly rounded, so the bits must be those of the stored order
+        # correctly rounded, so the bits must be those of cardinality order
         n, rows = case
         profile = CardinalityProfile.from_counts(n, rows)
         entropy, split, total = _ascending_sums(rows)
@@ -388,21 +388,21 @@ class TestSumOrder:
         "max-deng" if arg is None else f"{len(arg)}-layers" if isinstance(arg, dict) else str(arg)
     ))
     def test_split_column_is_log2_of_each_numerator(self, size, rows):
-        # cards 1..n within the table gather a slice of it (max-deng, rows of
-        # None); sparse cards, and 1..n past it, read each k
+        # cards 1..n within the table take a slice of it (max-deng, rows of
+        # None); sparse cards, and 1..n past it, read each k.  The column
+        # follows the profile's cardinality order
         if rows is None:
             profile = max_deng(size)
         else:
             profile = CardinalityProfile.from_counts(size, rows)
         column = _profile_columns(profile)[0]
-        cards = [profile.cards[i] for i in profile._order]
-        assert list(column) == [math.log2((1 << k) - 1) for k in cards]
+        assert list(column) == [math.log2((1 << k) - 1) for k in profile.cards]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_family_reports_match_their_public_columns_bit_for_bit(self, family):
-        # the kernel gathers each column in the profile's largest-first order;
-        # the row formulas over the public columns, ascending in cardinality,
-        # must give the same bits
+        # the kernel sorts each profile sum's terms, largest first; the row
+        # formulas over the public columns, summed in cardinality order, must
+        # give the same bits
         for n in (*range(1, 81), *range(1020, 1025)):
             _assert_report_matches_columns(FAMILIES[family](n))
 
@@ -415,7 +415,7 @@ class TestSumOrder:
         {2: (3, 0.25), 1: (1, 0.25)},
     ])
     def test_small_profile_reports_match_their_public_columns_bit_for_bit(self, rows):
-        # one and two layers: itemgetter returns one index's item bare
+        # one and two layers, the shortest columns the kernel sorts
         _assert_report_matches_columns(CardinalityProfile.from_counts(3, rows))
 
     def test_profile_with_no_layers_is_not_one(self):

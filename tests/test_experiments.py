@@ -180,10 +180,11 @@ class TestRenderTable:
         # for csv ("Invalid format specifier") and json took them silently
         for decimals in (0, 16, 2.0, True):
             for fmt in ("csv", "json"):
-                with pytest.raises(ValueError, match="^decimals must be an int between 1 and 15$"):
+                with pytest.raises(EvidenceError, match="^decimals must be an int between 1 and 15$"):
                     render_table(table, fmt, decimals)
-        with pytest.raises(ValueError):
-            render_table(table, "html", 4)
+        for fmt in ("html", "xml"):
+            with pytest.raises(EvidenceError, match=f"^unknown format '{fmt}'$"):
+                render_table(table, fmt)
 
     def test_rounding_is_half_to_even(self):
         # exact binary ties resolve to the even digit

@@ -5,12 +5,14 @@ import ast
 import inspect
 import math
 import random
+import re
 
 import pytest
 
 from conftest import random_mass
 from evidim import (
     DimensionReport,
+    EvidenceError,
     FAMILIES,
     Frame,
     MassFunction,
@@ -112,7 +114,12 @@ class TestOracleBits:
                 assert not any(alias.name.startswith("evidim") for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and (node.level or "evidim" in (node.module or "")):
                 imported[node.module] = {alias.name for alias in node.names}
-        assert imported == {"core": {"MassFunction"}, "dimension": {"DimensionReport"}}
+        # compare_reports checks its tolerance by the package's one rule on a
+        # real number, and names it in an EvidenceError; no sum is shared
+        assert imported == {
+            "core": {"MassFunction", "EvidenceError", "_is_real", "_shown"},
+            "dimension": {"DimensionReport"},
+        }
 
 
 class TestCompareReports:
@@ -131,10 +138,14 @@ class TestCompareReports:
         b = DimensionReport(0.0, 0.0, 0.0, False)
         assert not compare_reports(a, b, 1.0)
 
-    def test_tolerance_validation(self):
+    @pytest.mark.parametrize("tol, shown", [
+        ("1e-9", "'1e-9'"), (True, "True"), (0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan"),
+    ], ids=["string", "bool", "zero", "negative", "nan"])
+    def test_tolerance_validation(self, tol, shown):
+        # a tolerance is a real number, not a bool, above 0, as detect_limit's
         a = DimensionReport(0.0, 0.0, 0.0, True)
-        with pytest.raises(ValueError):
-            compare_reports(a, a, 0.0)
+        with pytest.raises(EvidenceError, match=f"^tolerance {re.escape(shown)} is not a real"):
+            compare_reports(a, a, tol)
 
     def test_max_deng_ten(self):
         profile = max_deng(10)

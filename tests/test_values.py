@@ -83,7 +83,7 @@ class TestCopies:
     def test_derived_columns_survive(self, how):
         frame, profile = VALUES["Frame"], VALUES["CardinalityProfile"]
         assert COPIES[how](frame)._bits == {"a": 1, "b": 2, "c": 4}
-        for derived in ("_log2_counts", "_order", "_weights"):
+        for derived in ("_log2_counts", "_weights"):
             kept = getattr(COPIES[how](profile), derived)
             assert type(kept) is tuple and kept == getattr(profile, derived)
         copied = COPIES[how](VALUES["MassFunction"])
@@ -130,7 +130,7 @@ class TestImmutability:
     def test_derived_slots_cannot_be_assigned(self):
         with pytest.raises(AttributeError):
             VALUES["Frame"]._bits = {}
-        for derived in ("_log2_counts", "_order", "_weights"):
+        for derived in ("_log2_counts", "_weights"):
             with pytest.raises(AttributeError):
                 setattr(VALUES["CardinalityProfile"], derived, ())
 
@@ -185,7 +185,7 @@ class TestReprAndEquality:
 
     def test_profile_equality_ignores_the_log2_counts(self):
         profile, twin = max_deng(4), max_deng(4)
-        for derived in ("_log2_counts", "_order", "_weights"):
+        for derived in ("_log2_counts", "_weights"):
             object.__setattr__(twin, derived, ())
         assert repr(profile) == repr(twin)
         assert profile == twin and hash(profile) == hash(twin)
