@@ -34,19 +34,25 @@ ints: the families that fill every layer 1..N pass none, and their
 counts are the slice C(N, 1..N) of one exact binomial row,
 :func:`_binomial_row`, which takes one Pascal step from the row it
 returned last when that row was for N - 1, as in a sweep, and otherwise
-walks the recurrence up to N // 2 and mirrors it.  Such layers need no
-bounds check, and since C(N, k) = C(N, N - k) as ints, the log2 of their
-counts is taken up to N // 2 and mirrored, the same bits.  Listed counts
+walks the recurrence, either way up to N // 2, and mirrors the rest.
+Such layers need no bounds check, and since C(N, k) = C(N, N - k) as
+ints, the log2 of their counts is taken up to N // 2 and mirrored, the
+same bits.  Listed counts
 are checked against :func:`math.comb`, in C-level passes that fall back
 to a walk over the layers only to name the first bad one.  The log2 of
 each count and each layer's weight (count * mass, formed once as
 2^(log2 count + log2 mass)) are kept as derived slots, ascending in
 cardinality like the fields, so that the dimension kernel forms no
-weight again.  Every sum over a profile's layers runs through
-:func:`_fsum_largest_first`, which sorts that sum's own terms.  The
-tables ``_NUMERATORS``, 2^k - 1 as exact ints, and ``_SPLITS``, its
-log2, for k up to :data:`PROFILE_LIMIT`, live here, so that the
-dimension kernel and the families read one copy.
+weight again; each weight is a ``math.pow``, the same bits as the
+builtin ``pow``.  Their exact total,
+:meth:`CardinalityProfile.total_mass`, sorts them largest first
+(:func:`_fsum_largest_first`).  The unit-total check of a profile, a
+mass function or a distribution first takes the plain sum, which settles
+every total well inside the tolerance, and takes the exact sum only for
+the rest (see :func:`_check_unit_total`).  The tables ``_NUMERATORS``,
+2^k - 1 as exact ints, and ``_SPLITS``, its log2, for k up to
+:data:`PROFILE_LIMIT`, live here, so that the dimension kernel and the
+families read one copy.
 
 All types are immutable after construction and safe to share across
 threads: ``__slots__`` classes on one private base, :class:`_Value`,
@@ -566,7 +572,7 @@ class CardinalityProfile(_Value):
                 raise _first_bad_layer(frame_size, cards, counts)
             log2_counts = tuple(map(math.log2, counts))
         try:
-            weights = tuple(map(pow, repeat(2.0), map(add, log2_counts, log2_masses)))
+            weights = tuple(map(math.pow, repeat(2.0), map(add, log2_counts, log2_masses)))
         except OverflowError:
             raise NonUnitTotalError("profile masses sum to inf, expected 1") from None
         _check_unit_total(weights, "profile masses", _fsum_largest_first)
@@ -601,6 +607,8 @@ class CardinalityProfile(_Value):
             )
         if frame is None:
             frame = Frame.generic(self.frame_size)
+        elif not isinstance(frame, Frame):
+            raise EvidenceError(f"frame {_shown(frame)} is not a Frame")
         elif frame.size != self.frame_size:
             raise EvidenceError(
                 f"frame has {frame.size} elements, profile expects {self.frame_size}"
@@ -643,23 +651,24 @@ def _binomial_row(n: int) -> tuple[int, ...]:
     The row for n - 1 returned last takes one Pascal step, C(n, k) =
     C(n - 1, k - 1) + C(n - 1, k), the order a sweep asks in; the row for
     n returned last is returned again.  Any other n walks the recurrence
-    C(n, k) = C(n, k - 1) (n - k + 1) / k, whose division is exact, to
-    n // 2 and mirrors the rest, C(n, k) = C(n, n - k).
+    C(n, k) = C(n, k - 1) (n - k + 1) / k, whose division is exact.  Either
+    way only k up to n // 2 is formed, and the rest mirrored, C(n, k) =
+    C(n, n - k).
     """
     global _last_row
     last, row = _last_row
     if last == n:
         return row
     if last == n - 1:
-        row = (1, *map(add, row, row[1:]), 1)
+        half = [1, *map(add, row[:n // 2], row[1:n // 2 + 1])]
     else:
         count = 1
         half = [count]
         for k in range(1, n // 2 + 1):
             count = count * (n - k + 1) // k
             half.append(count)
-        # an even n has one middle entry, which the mirror must not repeat
-        row = (*half, *half[::-1][1 - n % 2:])
+    # an even n has one middle entry, which the mirror must not repeat
+    row = (*half, *half[::-1][1 - n % 2:])
     _last_row = (n, row)
     return row
 
@@ -784,10 +793,24 @@ def _fsum_largest_first(terms: Iterable[float]) -> float:
     return math.fsum(sorted(terms, reverse=True))
 
 
-def _check_unit_total(terms: Iterable[float], what: str, fsum=math.fsum):
-    """Reject masses whose exact sum, taken by ``fsum``, is further than
-    :data:`MASS_TOLERANCE` from 1; a sum too large for a float reads as
-    ``inf``."""
+def _check_unit_total(terms: Sequence[float], what: str, fsum=math.fsum):
+    """Reject nonnegative masses whose exact sum, taken by ``fsum``, is
+    further than :data:`MASS_TOLERANCE` from 1; a sum too large for a float
+    reads as ``inf``.
+
+    The plain ``sum`` of n nonnegative doubles, left to right, lies within
+    a relative gamma(n - 1) = (n - 1)u / (1 - (n - 1)u) of their exact sum,
+    u = 2^-53 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    section 4.2), and the compensated ``sum`` of Python 3.12 on is closer
+    still.  So a plain sum that is within the tolerance by more than
+    n 2^-51 times itself, a safe overbound of that error and of the final
+    rounding, proves the exact one within it too, and accepts at once.
+    Any other total, near the edge or past it, is taken exactly, so the
+    decision and the message are those of the exact sum on every input.
+    """
+    quick = sum(terms)
+    if abs(quick - 1.0) + len(terms) * 2**-51 * quick <= MASS_TOLERANCE:
+        return
     try:
         total = fsum(terms)
     except OverflowError:

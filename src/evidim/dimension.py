@@ -21,15 +21,19 @@ cardinality layer.  No row object is built per entry.  A profile passes
 its own columns, ascending in cardinality, and the weights it formed when
 built, so the kernel forms no power of two for its entropy; an explicit
 mass or a distribution hands it the same powers, 2^(log2 m), as a lazy
-column.  A profile's two sums each sort their own terms, largest first
-(``core._fsum_largest_first``); an explicit mass's or a distribution's
-stream into ``math.fsum`` in entry order.  fsum is correctly rounded, so
-no order changes a bit.  The split column reads log2(2^k - 1) from
-``core._SPLITS``, a table up to the widest family profile, k =
-``PROFILE_LIMIT``: a profile whose cards are 1..n within it, as every
-full-layer family's are, takes the slice for 1..n, and any other reads the
-table per layer, a k past it as float(k), the same bits.  Another base is
-a display choice, one division the caller makes.
+column.  Every power of two is ``math.pow``, which calls libm ``pow`` as
+the builtin does for finite floats, so the bits are the same.  A
+profile's sums run largest first: its entropy sorts its own terms
+(``core._fsum_largest_first``), and its split scale sorts its log2 terms
+once, so their powers of two arrive largest first with no second sort.
+An explicit mass's or a distribution's sums stream into ``math.fsum`` in
+entry order.  fsum is correctly rounded, so no order changes a bit.  The
+split column reads log2(2^k - 1) from ``core._SPLITS``, a table up to the
+widest family profile, k = ``PROFILE_LIMIT``: a profile whose cards are
+1..n within it, as every full-layer family's are, takes the slice for
+1..n, and any other reads the table per layer, a k past it as float(k),
+the same bits.  Another base is a display choice, one division the
+caller makes.
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ from .core import (
 # layer is one set; lm, log2 of the per-set mass; m, the per-set mass; and
 # w, the layer's weight, count * mass formed as 2^(lc + lm).  The kernel
 # reads w once, so w may be a lazy iterable, and keeps one column of its own:
-# the split scale's log2 terms, whose max it takes before their sum.
+# the split scale's log2 terms, whose largest it reads before their sum.
 Columns = tuple[
     Sequence[float], Sequence[float] | None, Sequence[float], Sequence[float], Iterable[float]
 ]
@@ -74,7 +78,7 @@ def _mass_columns(mass: MassFunction) -> Columns:
     # last, which kept the process's peak RSS lower than taking them first
     splits = [_SPLITS[mask.bit_count()] for mask in mass.masks]
     log2_masses = list(map(math.log2, mass.masses))
-    return splits, None, log2_masses, mass.masses, map(pow, repeat(2.0), log2_masses)
+    return splits, None, log2_masses, mass.masses, map(math.pow, repeat(2.0), log2_masses)
 
 
 def _profile_columns(profile: CardinalityProfile) -> Columns:
@@ -92,7 +96,7 @@ def _profile_columns(profile: CardinalityProfile) -> Columns:
 def _probability_columns(dist: ProbabilityDistribution) -> Columns:
     zeros = [0.0] * dist.size
     log2_masses = list(map(math.log2, dist.probabilities))
-    return zeros, None, log2_masses, dist.probabilities, map(pow, repeat(2.0), log2_masses)
+    return zeros, None, log2_masses, dist.probabilities, map(math.pow, repeat(2.0), log2_masses)
 
 
 def _bits(splits: Sequence[float], log2_counts: Sequence[float] | None,
@@ -104,17 +108,22 @@ def _bits(splits: Sequence[float], log2_counts: Sequence[float] | None,
     would overflow or underflow a double; the split scale is a log-sum of
     count * (2^k - 1)^mass terms, each kept as its log2, lc + m * s, or
     m * s with no count column.  A count column marks a profile, whose
-    sums run largest first.
+    sums run largest first: the entropy sorts its own terms, and the split
+    scale sorts its log2 terms, so the largest is the first and their
+    powers of two, shifted by it, arrive in falling order.
     """
     fsum = math.fsum if log2_counts is None else _fsum_largest_first
     entropy = fsum(map(mul, weights, map(sub, splits, log2_masses)))
     terms = map(mul, masses, splits)
-    if log2_counts is not None:
-        terms = map(add, log2_counts, terms)
+    if log2_counts is None:
+        terms = list(terms)
+        top = max(terms)
+    else:
+        terms = sorted(map(add, log2_counts, terms), reverse=True)
+        top = terms[0]
     # log2 of a sum of powers of two, shifted by the largest to avoid overflow
-    terms = list(terms)
-    top = max(terms)
-    return entropy, top + math.log2(fsum(map(pow, repeat(2.0), map(sub, terms, repeat(top)))))
+    shifted = map(math.pow, repeat(2.0), map(sub, terms, repeat(top)))
+    return entropy, top + math.log2(math.fsum(shifted))
 
 
 def _report(columns: Columns) -> DimensionReport:

@@ -27,7 +27,7 @@ from typing import Callable
 
 from .core import (
     _NUMERATORS, _SPLITS, PROFILE_LIMIT, CardinalityProfile, EvidenceError,
-    FrameTooLargeError, _check_frame_size,
+    FrameTooLargeError, _check_frame_size, _shown,
 )
 
 
@@ -92,9 +92,9 @@ FAMILIES: dict[str, Callable[[int], CardinalityProfile]] = {
 def family_profile(name: str, n: int) -> CardinalityProfile:
     try:
         generator = FAMILIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise UnknownFamilyError(
-            f"unknown family {name!r}; choose from {sorted(FAMILIES)}"
+            f"unknown family {_shown(name)}; choose from {sorted(FAMILIES)}"
         ) from None
     return generator(n)
 

@@ -13,7 +13,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import permute_mass, random_mass
@@ -387,6 +387,81 @@ def _outcome(build):
     return mass, [type(value) for value in mass.masses]
 
 
+def _edge(sign: int, inside: bool) -> float:
+    """The double furthest from 1 on the ``sign`` side that the unit-total
+    check accepts, or the next one out from it."""
+    edge = 1.0 + sign * MASS_TOLERANCE
+    away = 2.0 if sign > 0 else 0.0
+    while abs(edge - 1.0) > MASS_TOLERANCE:
+        edge = math.nextafter(edge, 1.0)
+    while abs(math.nextafter(edge, away) - 1.0) <= MASS_TOLERANCE:
+        edge = math.nextafter(edge, away)
+    return edge if inside else math.nextafter(edge, away)
+
+
+@st.composite
+def near_unit_edge_terms(draw) -> list[float]:
+    """1 to 65,535 nonnegative terms, some zero and some tiny, whose exact
+    total lies within a fraction of an ulp of a double a few ulps from
+    1 +- MASS_TOLERANCE, or about 4n ulps inside it, where a plain sum of n
+    terms may first accept."""
+    n = draw(st.integers(1, 65_535))
+    edge = _edge(draw(st.sampled_from((-1, 1))), inside=True)
+    inward = -1 if edge > 1.0 else 1
+    steps = draw(st.integers(-4, 4)) + draw(st.sampled_from((0, 0, 4 * n, 5 * n)))
+    total = edge + inward * steps * math.ulp(edge)
+    if n == 1:
+        return [total]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.integers(1, 60))
+    weights = [rng.random() ** spread for _ in range(n - 1)]
+    if draw(st.booleans()):
+        weights[::3] = [0.0] * len(weights[::3])
+    weights[-1] = 1.0
+    scale = 0.6 * total / math.fsum(weights)
+    terms = [w * scale for w in weights]
+    # the fsum lies in [total / 2, total], so the difference is exact
+    terms.append(total - math.fsum(terms))
+    rng.shuffle(terms)
+    return terms
+
+
+def _unit_total_outcome(check, terms):
+    try:
+        check(terms, "focal masses")
+    except NonUnitTotalError as exc:
+        return str(exc)
+    return None
+
+
+def _exact_unit_total(terms, what):
+    total = math.fsum(terms)
+    if abs(total - 1.0) > MASS_TOLERANCE:
+        raise NonUnitTotalError(f"{what} sum to {total!r}, expected 1")
+
+
+class TestUnitTotal:
+    @given(terms=near_unit_edge_terms())
+    @example(terms=[_edge(1, inside=True)])
+    @example(terms=[_edge(1, inside=False)])
+    @example(terms=[_edge(-1, inside=True)])
+    @example(terms=[_edge(-1, inside=False)])
+    @example(terms=[_edge(1, inside=True) / 4096] * 4096)
+    @example(terms=[_edge(-1, inside=False) / 4096] * 4096)
+    @settings(max_examples=300, deadline=None)
+    def test_quick_sum_decides_as_the_exact_sum(self, terms):
+        # the plain sum accepts at once only where its error bound proves the
+        # fsum within the tolerance; every other total is decided by fsum
+        assert (_unit_total_outcome(core._check_unit_total, terms)
+                == _unit_total_outcome(_exact_unit_total, terms))
+
+    def test_edge_examples_sit_one_ulp_apart(self):
+        for sign in (1, -1):
+            inside, outside = _edge(sign, inside=True), _edge(sign, inside=False)
+            assert math.nextafter(inside, outside) == outside
+            assert abs(inside - 1.0) <= MASS_TOLERANCE < abs(outside - 1.0)
+
+
 class TestBulkCheck:
     @given(columns=mass_columns())
     @settings(max_examples=400, deadline=None)
@@ -557,6 +632,13 @@ class TestProfiles:
     def test_frame_size_mismatch_rejected(self):
         with pytest.raises(EvidenceError):
             vacuous(3).to_mass(Frame(("a", "b")))
+
+    @pytest.mark.parametrize("frame", [["a", "b", "c"], "abc", 3])
+    def test_expansion_frame_must_be_a_frame(self, frame):
+        # a list, a str or an int escaped as an AttributeError on .size
+        with pytest.raises(EvidenceError, match=r"^frame .* is not a Frame$") as raised:
+            vacuous(3).to_mass(frame)
+        assert type(raised.value) is EvidenceError
 
     def test_profile_validation(self):
         with pytest.raises(NonUnitTotalError):

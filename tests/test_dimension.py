@@ -452,6 +452,40 @@ class TestSumOrder:
         assert report.dimension == entropy / split
 
 
+def _pow_outcome(power, x: float):
+    try:
+        return power(2.0, x).hex()
+    except OverflowError:
+        return OverflowError
+
+
+class TestPowersOfTwo:
+    # the kernel and the profile weights form every power of two with
+    # math.pow: for a finite exponent it calls libm pow as the builtin does,
+    # so the bits are the same, an underflow is 0.0 and an overflow raises
+    @given(x=st.floats(min_value=-1100.0, max_value=1100.0))
+    @example(x=-1074.0)  # the smallest subnormal
+    @example(x=-1074.5)
+    @example(x=-1075.0)  # half of it, which rounds to 0.0
+    @example(x=math.nextafter(1024.0, 0.0))  # the largest finite power
+    @example(x=1024.0)
+    @settings(max_examples=500, deadline=None)
+    def test_math_pow_is_the_builtin_pow(self, x):
+        assert _pow_outcome(math.pow, x) == _pow_outcome(pow, x)
+
+    def test_math_pow_matches_over_the_kernel_range(self):
+        for x in (k / 64 for k in range(-1100 * 64, 1100 * 64)):
+            assert _pow_outcome(math.pow, x) == _pow_outcome(pow, x), x
+
+    def test_underflow_is_zero_and_overflow_raises(self):
+        for x in (-1075.0, -1076.0, -1100.0):
+            assert math.pow(2.0, x) == pow(2.0, x) == 0.0
+        for x in (1024.0, 1024.5, 1100.0):
+            for power in (math.pow, pow):
+                with pytest.raises(OverflowError):
+                    power(2.0, x)
+
+
 class TestLimitBehavior:
     def test_concentrating_mass_drives_dimension_to_zero(self):
         # m(one singleton) = a, the other 2^N - 2 nonempty subsets share

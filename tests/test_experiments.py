@@ -49,6 +49,9 @@ class TestRunConvergence:
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):
             run_convergence("bogus", 1, 5)
+        # an unhashable name escaped as a bare TypeError
+        with pytest.raises(UnknownFamilyError, match=r"^unknown family \['x'\]; "):
+            run_convergence(["x"], 1, 3)
 
     def test_invalid_ranges(self):
         with pytest.raises(EvidenceError):

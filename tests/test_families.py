@@ -179,6 +179,14 @@ class TestBounds:
         with pytest.raises(UnknownFamilyError):
             family_profile("bogus", 3)
 
+    def test_unhashable_or_long_family_name_is_unknown(self):
+        # a list escaped as a bare TypeError; a long name is shown bounded
+        with pytest.raises(UnknownFamilyError, match=r"^unknown family \['max-deng'\]; "):
+            family_profile(["max-deng"], 3)
+        with pytest.raises(UnknownFamilyError) as raised:
+            family_profile("x" * 10_000, 3)
+        assert len(str(raised.value)) < 200
+
     def test_registry_contents(self):
         assert sorted(FAMILIES) == [
             "max-deng",
