@@ -12,17 +12,25 @@ with both commands and all their arguments, is built only for output
 that belongs to the top level: ``--help``, a missing or unknown command,
 and tokens the command leaves over.
 
-Outside the parser, a call takes no stdlib slow path: the file is read
-with :func:`open`, so no ``pathlib`` is imported, and the json report is
-written by :func:`~evidim.experiments.render_json`, not by
-``json.dumps(..., indent=2)``, which runs json's pure-Python encoder.  The
+argparse checks each argument's metavar, as it is added, with a
+formatter, and a default formatter queries the terminal for its width.
+The command parser is built with a fixed-width formatter for that check,
+and restores argparse's default before it parses, so its help, usage and
+errors are formatted as argparse would format them, at the terminal's
+width, and a call that prints none of them queries no terminal.  The
 parser is built on each call, not cached: the benchmark keeps records of
 every call, so the extra calls a cache allows would raise its
 ``peak_rss_mb`` from those records alone.
+
+Outside the parser, a call takes no stdlib slow path: the file is read
+with :func:`open`, so no ``pathlib`` is imported, and the json report is
+written by :func:`~evidim.experiments.render_json`, not by
+``json.dumps(..., indent=2)``, which runs json's pure-Python encoder.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -67,8 +75,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     when it does not open with a command or leaves tokens over: the full
     parser reports those under the top-level usage."""
     if argv and argv[0] in ("compute", "sweep"):
-        parser = argparse.ArgumentParser(prog=f"evidim {argv[0]}")
+        # the fixed width serves add_argument's metavar check alone; the
+        # default formatter, restored below, writes whatever is printed
+        parser = argparse.ArgumentParser(
+            prog=f"evidim {argv[0]}",
+            formatter_class=functools.partial(argparse.HelpFormatter, width=80),
+        )
         (_compute_arguments if argv[0] == "compute" else _sweep_arguments)(parser)
+        parser.formatter_class = argparse.HelpFormatter
         args, extras = parser.parse_known_args(argv[1:])
         if not extras:
             args.command = argv[0]

@@ -8,16 +8,17 @@ is stored flat, as parallel ``masks`` and ``masses`` tuples sorted by mask;
 :class:`Subset` objects are built only at API edges (``focal``,
 :meth:`Frame.subset`, error messages), never on the parse, expansion or
 kernel paths.  Its one constructor, ``MassFunction(frame, masks,
-masses)``, owns every rule: the frame a :class:`Frame`, the columns of
-equal length, each mask an int naming a nonempty subset of the frame, the
-masses and duplicate sets, and the total.  The common case passes a few
-C-level passes over the columns: the masks' types, minimum and maximum,
-then every mass a plain float, none negative, NaN or infinite, and the
-masks distinct.  Any other input goes entry by entry, masks through
-:class:`Subset`'s rule and masses through :func:`_as_mass`, the one rule
-on a mass, so errors and their order are those of a single pass.  Zero
-masses are dropped, the rest sorted by mask through one index sort, and
-their exact sum checked, a sum too large for a float reading as ``inf``.
+masses)``, owns every rule: the frame a :class:`Frame`, the columns
+sequences of equal length, each mask an int naming a nonempty subset of
+the frame, the masses and duplicate sets, and the total.  The common
+case passes a few C-level passes over the columns: the masks' types,
+minimum and maximum, then every mass a plain float, none negative, NaN
+or infinite, and the masks distinct.  Any other input goes entry by
+entry, masks through :class:`Subset`'s rule and masses through
+:func:`_as_mass`, the one rule on a mass, so errors and their order are
+those of a single pass.  Zero masses are dropped, the rest sorted by
+mask through one index sort, and their exact sum checked, a sum too
+large for a float reading as ``inf``.
 
 The :class:`CardinalityProfile` compressed form has no frame cap and
 carries a log-domain copy of each per-set mass so that very large frames
@@ -64,9 +65,9 @@ from __future__ import annotations
 
 import math
 import reprlib
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import combinations, compress, repeat
 from operator import add, attrgetter, itemgetter, le
-from typing import Callable, Iterable, Mapping, Sequence
 
 MAX_EXPLICIT_FRAME = 64
 PROFILE_LIMIT = 1024
@@ -335,7 +336,7 @@ class MassFunction(_Value):
 
     def __init__(self, frame: Frame, masks: Sequence[int], masses: Sequence):
         """The one construction, from parallel ``masks`` and ``masses``
-        columns: each mask an int naming a nonempty subset of ``frame``,
+        sequences: each mask an int naming a nonempty subset of ``frame``,
         masses :func:`_as_mass` rejects and duplicate masks are errors,
         zero masses are dropped, the rest sorted by mask, and the total
         checked.
@@ -348,8 +349,12 @@ class MassFunction(_Value):
         order.  Pickle and copy restore through ``__setstate__``, not
         here.
         """
-        if not isinstance(frame, Frame):
-            raise EvidenceError(f"frame {_shown(frame)} is not a Frame")
+        _check_type(frame, Frame, "frame")
+        for column, values in (("masks", masks), ("masses", masses)):
+            if not isinstance(values, Sequence):
+                raise EvidenceError(
+                    f"{column} must be a sequence, not a {type(values).__name__}"
+                )
         if len(masks) != len(masses):
             raise EvidenceError(f"{len(masks)} masks do not pair up with {len(masses)} masses")
         if not (
@@ -607,12 +612,12 @@ class CardinalityProfile(_Value):
             )
         if frame is None:
             frame = Frame.generic(self.frame_size)
-        elif not isinstance(frame, Frame):
-            raise EvidenceError(f"frame {_shown(frame)} is not a Frame")
-        elif frame.size != self.frame_size:
-            raise EvidenceError(
-                f"frame has {frame.size} elements, profile expects {self.frame_size}"
-            )
+        else:
+            _check_type(frame, Frame, "frame")
+            if frame.size != self.frame_size:
+                raise EvidenceError(
+                    f"frame has {frame.size} elements, profile expects {self.frame_size}"
+                )
         binomials = _binomial_row(self.frame_size)
         # highest bit first, so each layer's masks come out descending,
         # a run the constructor's sort reverses in one pass
@@ -735,6 +740,12 @@ def _refuse_string(labels, taker: str):
     "a" and "b"; it is refused, not guessed at."""
     if isinstance(labels, str):
         raise EvidenceError(f"{taker} takes an iterable of labels, not the string {_shown(labels)}")
+
+
+def _check_type(value, kind: type, what: str) -> None:
+    """An :class:`EvidenceError` naming ``value`` unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise EvidenceError(f"{what} {_shown(value)} is not a {kind.__name__}")
 
 
 def _shown(value) -> str:

@@ -44,7 +44,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     _SPLITS, CardinalityProfile, MassFunction, ProbabilityDistribution, _check_frame_size,
-    _fsum_largest_first,
+    _check_type, _fsum_largest_first,
 )
 
 # Every sum runs over five parallel columns, one entry per layer of focal
@@ -159,12 +159,14 @@ def information_dimension(mass: MassFunction) -> DimensionReport:
     mass function with split scale exactly 0) is detected from the focal
     structure rather than by comparing the denominator to zero.
     """
+    _check_type(mass, MassFunction, "mass")
     return _report(_mass_columns(mass))
 
 
 def information_dimension_profile(profile: CardinalityProfile) -> DimensionReport:
     """Profile-evaluated dimension, grouped by cardinality so O(N) in the
     frame size; same contract as the explicit form."""
+    _check_type(profile, CardinalityProfile, "profile")
     return _report(_profile_columns(profile))
 
 
@@ -175,4 +177,5 @@ def probability_dimension(dist: ProbabilityDistribution) -> DimensionReport:
     denominator collapses to log(N).  A single-outcome distribution is
     the degenerate 0/0 case.
     """
+    _check_type(dist, ProbabilityDistribution, "distribution")
     return _report(_probability_columns(dist))

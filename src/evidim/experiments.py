@@ -12,7 +12,7 @@ import math
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .core import EvidenceError, _check_frame_size, _is_real, _shown
+from .core import EvidenceError, _check_frame_size, _check_type, _is_real, _shown
 from .dimension import information_dimension_profile
 from .families import PROFILE_LIMIT, family_profile
 
@@ -75,6 +75,7 @@ def detect_limit(table: ConvergenceTable, window: int, tol: float) -> Convergenc
     bool) of at least 2 and ``tol`` a real number (not a bool) above 0, or
     :class:`DetectionParameterError` names the one that is not.
     """
+    _check_type(table, ConvergenceTable, "table")
     if type(window) is not int:
         raise DetectionParameterError(f"window {_shown(window)} is not an int")
     if window < 2:
@@ -190,6 +191,7 @@ def render_table(
     verdict as a ``"verdict"`` key.  ``decimals`` must be an int (not a
     bool or a float) in ``DECIMALS``, or :class:`EvidenceError` says so.
     """
+    _check_type(table, ConvergenceTable, "table")
     if type(decimals) is not int or decimals not in DECIMALS:
         raise EvidenceError(f"decimals must be an int between {DECIMALS[0]} and {DECIMALS[-1]}")
     if fmt == "json":

@@ -19,6 +19,8 @@ from .dimension import DimensionReport
 
 def brute_force_report(mass: MassFunction) -> DimensionReport:
     """Per-focal-element evaluation of entropy, split scale, and dimension."""
+    if not isinstance(mass, MassFunction):
+        raise EvidenceError(f"mass {_shown(mass)} is not a MassFunction")
     # each focal set's 2^|A| - 1 nonempty subsets, its size counted afresh
     splits = [2 ** bin(mask).count("1") - 1 for mask in mass.masks]
     if splits == [1]:

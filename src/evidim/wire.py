@@ -44,7 +44,7 @@ import re
 from collections import Counter
 from json.encoder import encode_basestring
 
-from .core import MAX_EXPLICIT_FRAME, EvidenceError, Frame, MassFunction
+from .core import MAX_EXPLICIT_FRAME, EvidenceError, Frame, MassFunction, _check_type
 
 
 def _checked_object(pairs: list[tuple[str, object]]) -> dict:
@@ -147,8 +147,11 @@ def mass_from_json(text: str) -> MassFunction:
     (:func:`_mask_decoded`); a text whose frame is neither, or whose
     entries do not all decode to masks over that frame, is parsed entry by
     entry (:func:`_strict_mass_from_json`), which names the error.  Both
-    give the same mass function.
+    give the same mass function.  A ``text`` that is not a str, bytes
+    included, is an :class:`EvidenceError`.
     """
+    if not isinstance(text, str):
+        raise EvidenceError(f"mass-function JSON must be a str, not a {type(text).__name__}")
     mass = _mask_decoded(text)
     return _strict_mass_from_json(text) if mass is None else mass
 
@@ -250,6 +253,7 @@ def mass_to_json(mass: MassFunction) -> str:
     entry strings are alive beside the run strings, and the result is the
     only full-size copy of the text.
     """
+    _check_type(mass, MassFunction, "mass")
     labels = [encode_basestring(label) for label in mass.frame.labels]
     tables = []
     for start in range(0, len(labels), 8):

@@ -1,15 +1,17 @@
 """Command-line behavior: formats, flags, and exit codes."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
 
-from evidim import DimensionReport, mass_to_json
+from evidim import DimensionReport, cli, mass_to_json
 from evidim.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
@@ -363,6 +365,56 @@ class TestHelpAndUsage:
         captured = capsys.readouterr()
         assert captured.out == case["stdout"]
         assert captured.err == case["stderr"]
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize(
+        "case", PINNED_USAGE, ids=[" ".join(case["argv"]) or "(none)" for case in PINNED_USAGE]
+    )
+    def test_output_matches_a_default_parser_at_any_width(
+        self, case, columns, tmp_path, monkeypatch, capsys
+    ):
+        # the command parser checks metavars with a fixed-width formatter;
+        # what it prints must still wrap at the terminal's width, as a
+        # parser built with argparse's defaults wraps it
+        monkeypatch.setenv("COLUMNS", columns)
+        monkeypatch.chdir(tmp_path)
+        code = main(case["argv"])
+        captured = capsys.readouterr()
+        monkeypatch.setattr(cli, "_parse", _default_parse)
+        assert (code, captured.out, captured.err) == (main(case["argv"]), *capsys.readouterr())
+
+
+def _default_parse(argv: list[str]) -> argparse.Namespace:
+    # cli._parse with each command's parser built by argparse's defaults
+    if argv and argv[0] in ("compute", "sweep"):
+        parser = argparse.ArgumentParser(prog=f"evidim {argv[0]}")
+        (cli._compute_arguments if argv[0] == "compute" else cli._sweep_arguments)(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return cli._build_parser().parse_args(argv)
+
+
+class TestNoTerminalQueries:
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute", "pair.json"], ["compute", "pair.json", "--oracle"],
+         ["sweep", "max-deng", "1", "5"]],
+        ids=["compute", "compute-oracle", "sweep"],
+    )
+    def test_a_parsed_call_reads_no_terminal_size(self, argv, tmp_path, monkeypatch, capsys):
+        # argparse's default formatter reads the terminal size, an ioctl on
+        # stdout unless COLUMNS and LINES are both set, once per argument
+        # added; a call that prints no help or error needs none of them
+        (tmp_path / "pair.json").write_text(json.dumps(EXAMPLE))
+        monkeypatch.chdir(tmp_path)
+        queries = []
+        size = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: queries.append(a) or size(*a))
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert queries == []
 
 
 class TestArgvFromSys:

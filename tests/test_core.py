@@ -319,6 +319,27 @@ class TestColumnConstructor:
             assert type(mass.masks) is type(mass.masses) is tuple
             assert [type(m) for m in mass.masses] == [float, float]
 
+    @pytest.mark.parametrize(
+        "column",
+        [{1: 0}, {1}, iter([1]), 1.0, None],
+        ids=["dict", "set", "iterator", "float", "None"],
+    )
+    @pytest.mark.parametrize("name", ["masks", "masses"])
+    def test_columns_that_are_not_sequences_are_named(self, name, column):
+        # a dict of masks escaped as KeyError, a float or an iterator as a
+        # TypeError from len()
+        columns = {"masks": [1], "masses": [1.0], name: column}
+        message = f"^{name} must be a sequence, not a {type(column).__name__}$"
+        with pytest.raises(EvidenceError, match=message) as raised:
+            MassFunction(Frame(("a", "b")), **columns)
+        assert type(raised.value) is EvidenceError
+
+    def test_any_sequence_of_masks_builds_the_same_mass(self):
+        masses = (0.25, 0.25, 0.5)
+        built = [MassFunction(_AB, masks, masses) for masks in ([1, 2, 3], (1, 2, 3), range(1, 4))]
+        assert built[0] == built[1] == built[2]
+        assert built[2].masks == (1, 2, 3)
+
 
 # Values each mass rule handles differently: NaN, infinities, negatives, both
 # zeros, an int too large for a float, a bool, a string, an int, a Fraction,
@@ -1709,6 +1730,13 @@ class TestJsonFormat:
             mass_from_json('{"frame": ["a"]}')
         with pytest.raises(EvidenceError):
             mass_from_json('[1, 2]')
+
+    @pytest.mark.parametrize("text", [b"{}", bytearray(b"{}"), None, 1], ids=repr)
+    def test_text_that_is_not_a_str_is_named(self, text):
+        # bytes escaped as a TypeError from the frame guess's str pattern
+        message = f"^mass-function JSON must be a str, not a {type(text).__name__}$"
+        with pytest.raises(EvidenceError, match=message):
+            mass_from_json(text)
 
 
 def _stdlib_json(mass: MassFunction) -> str:

@@ -56,3 +56,29 @@ def test_measurement_pattern_tells_figures_from_rules():
              "1024 layers", "times 2^N"]
     assert all(MEASUREMENT.search(text) for text in figures)
     assert not any(MEASUREMENT.search(text) for text in rules)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: evidim.information_dimension("x"), "mass 'x' is not a MassFunction"),
+        (lambda: evidim.information_dimension_profile(None),
+         "profile None is not a CardinalityProfile"),
+        (lambda: evidim.probability_dimension([0.5, 0.5]),
+         "distribution [0.5, 0.5] is not a ProbabilityDistribution"),
+        (lambda: evidim.detect_limit(None, 2, 1e-3), "table None is not a ConvergenceTable"),
+        (lambda: evidim.render_table(None), "table None is not a ConvergenceTable"),
+        (lambda: evidim.mass_to_json(None), "mass None is not a MassFunction"),
+        (lambda: evidim.brute_force_report("x"), "mass 'x' is not a MassFunction"),
+    ],
+    ids=[
+        "information_dimension", "information_dimension_profile", "probability_dimension",
+        "detect_limit", "render_table", "mass_to_json", "brute_force_report",
+    ],
+)
+def test_a_wrong_argument_type_is_named(call, message):
+    # each escaped as an AttributeError on the first attribute it read
+    with pytest.raises(evidim.EvidenceError) as raised:
+        call()
+    assert type(raised.value) is evidim.EvidenceError
+    assert str(raised.value) == message
