@@ -11,14 +11,19 @@ kernel paths.  Its one constructor, ``MassFunction(frame, masks,
 masses)``, owns every rule: the frame a :class:`Frame`, the columns
 sequences of equal length, each mask an int naming a nonempty subset of
 the frame, the masses and duplicate sets, and the total.  The common
-case passes a few C-level passes over the columns: the masks' types,
-minimum and maximum, then every mass a plain float, none negative, NaN
-or infinite, and the masks distinct.  Any other input goes entry by
-entry, masks through :class:`Subset`'s rule and masses through
-:func:`_as_mass`, the one rule on a mass, so errors and their order are
-those of a single pass.  Zero masses are dropped, the rest sorted by
-mask through one index sort, and their exact sum checked, a sum too
-large for a float reading as ``inf``.
+case passes a few C-level passes over the columns.  The masks' types
+come first.  Masks out of ascending order are then sorted, through one
+index sort that orders the masses too; masks already ascending, as in
+a text :func:`~evidim.wire.mass_to_json` wrote, are not.  On the
+sorted masks the range check reads the two ends and distinctness
+compares neighbours.  Last, every mass must be a plain float, none
+negative, NaN or infinite.  Any input that fails a check goes entry by
+entry, in the order given, masks through :class:`Subset`'s rule and
+masses through :func:`_as_mass`, the one rule on a mass, so errors and
+their order are those of a single pass.  Zero masses are dropped and
+the exact sum of the rest checked, a sum too large for a float reading
+as ``inf``.  :meth:`MassFunction.to_profile` groups the layers in
+C-level passes too.
 
 The :class:`CardinalityProfile` compressed form has no frame cap and
 carries a log-domain copy of each per-set mass so that very large frames
@@ -65,9 +70,10 @@ from __future__ import annotations
 
 import math
 import reprlib
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import combinations, compress, repeat
-from operator import add, attrgetter, itemgetter, le
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from itertools import combinations, compress, islice, repeat
+from operator import add, attrgetter, itemgetter, le, lt, not_
 
 MAX_EXPLICIT_FRAME = 64
 PROFILE_LIMIT = 1024
@@ -211,7 +217,7 @@ class Frame(_Value):
 
     def __init__(self, labels: Iterable[str]):
         _refuse_string(labels, "Frame")
-        labels = tuple(labels)
+        labels = tuple(_iterated(labels, "frame labels"))
         if not labels:
             raise EmptyFrameError("a frame needs at least one label")
         if any(not isinstance(lab, str) or not lab for lab in labels):
@@ -236,7 +242,7 @@ class Frame(_Value):
     def subset(self, labels: Iterable[str]) -> Subset:
         """Subset from labels; duplicates collapse, empty input is rejected."""
         _refuse_string(labels, "Frame.subset")
-        return Subset(self, self._mask(labels))
+        return Subset(self, self._mask(_iterated(labels, "subset labels")))
 
     def singleton(self, label: str) -> Subset:
         return Subset(self, self._mask((label,)))
@@ -307,7 +313,9 @@ class ProbabilityDistribution(_Value):
     probabilities: tuple[float, ...]
 
     def __init__(self, probabilities: Iterable[float]):
-        probabilities = tuple(_as_mass(p, "a probability") for p in probabilities)
+        probabilities = tuple(
+            _as_mass(p, "a probability") for p in _iterated(probabilities, "probabilities")
+        )
         if not probabilities:
             raise EvidenceError("a distribution needs at least one outcome")
         if not all(p > 0.0 for p in probabilities):
@@ -341,13 +349,17 @@ class MassFunction(_Value):
         zero masses are dropped, the rest sorted by mask, and the total
         checked.
 
-        The masks get three C-level checks, types first because a float
-        below the largest mask passes a minimum and a maximum; the masses
-        get one bulk check (:func:`_plain_columns`).  Only columns that
-        fail them are walked entry by entry (:class:`Subset`,
-        :func:`_checked_entries`), to raise the first error in entry
-        order.  Pickle and copy restore through ``__setstate__``, not
-        here.
+        The masks' types are checked first, because a float between two
+        masks passes a range check.  The masks are sorted, with the masses
+        through one index sort, only when one pass finds them out of
+        ascending order.  On the sorted masks the range check reads the
+        first and the last, and distinctness compares neighbours, which
+        ascending input has already passed.  The masses get one bulk
+        check: plain floats, a finite sum and no negative.  Only columns
+        that fail a check are walked entry by entry, in the order given
+        (:class:`Subset`, :func:`_checked_entries`), to raise the first
+        error in entry order.  Pickle and copy restore through
+        ``__setstate__``, not here.
         """
         _check_type(frame, Frame, "frame")
         for column, values in (("masks", masks), ("masses", masses)):
@@ -357,24 +369,35 @@ class MassFunction(_Value):
                 )
         if len(masks) != len(masses):
             raise EvidenceError(f"{len(masks)} masks do not pair up with {len(masses)} masses")
-        if not (
-            set(map(type, masks)) <= {int}
-            and min(masks, default=1) > 0
-            and not max(masks, default=0) >> frame.size
-        ):
+        typed = set(map(type, masks)) <= {int}
+        # strictly ascending masks are distinct and need no sort
+        ordered, gather = masks, None
+        if typed and not _ascending(masks):
+            gather = _gather(sorted(range(len(masks)), key=masks.__getitem__))
+            ordered = gather(masks)
+        if not (typed and (not ordered or ordered[0] > 0 and not ordered[-1] >> frame.size)):
             for mask in masks:  # Subset raises at the first bad mask
                 Subset(frame, mask)
-        if not _plain_columns(masks, masses):
-            kept = _checked_entries(frame, masks, masses)
-            masks, masses = list(kept), list(kept.values())
-        index = range(len(masks))
-        if 0.0 in masses:
-            index = compress(index, map((0.0).__lt__, masses))
-        gather = _gather(sorted(index, key=masks.__getitem__))
-        masses = gather(masses)
+        if not (
+            (gather is None or _ascending(ordered))
+            and set(map(type, masses)) == {float}
+            # a NaN or infinite mass, or a sum past the largest float, makes
+            # the sum infinite or NaN; min then sees finite masses only
+            and math.isfinite(sum(masses))
+            and min(masses) >= 0.0
+        ):
+            # raises at a repeated mask; distinct masks keep their order
+            masses = list(_checked_entries(frame, masks, masses).values())
+        if gather is not None:
+            masses = gather(masses)
+        # every mass is a nonnegative float by now, so a false one is a zero
+        if not all(masses):
+            kept = list(map(bool, masses))
+            ordered, masses = compress(ordered, kept), compress(masses, kept)
+        masses = tuple(masses)
         _check_unit_total(masses, "focal masses")
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "masks", gather(masks))
+        object.__setattr__(self, "masks", tuple(ordered))
         object.__setattr__(self, "masses", masses)
 
     @classmethod
@@ -392,6 +415,7 @@ class MassFunction(_Value):
         """
         if isinstance(assignments, Mapping):
             assignments = assignments.items()
+        assignments = _iterated(assignments, "assignments")
         masks: list[int] = []
         masses: list = []
         try:
@@ -438,21 +462,36 @@ class MassFunction(_Value):
         (within a relative :data:`SYMMETRY_TOLERANCE`); the stored
         representative is the mass of the lowest-mask subset in each layer,
         which makes the profile -> explicit round trip bit-exact.
+
+        The layers are grouped in C-level passes: each mask's cardinality
+        through ``int.bit_count``, each layer's first entry, which the
+        ascending masks make its lowest-mask set, and its count.  The
+        masses are compared with their layers' representatives in one
+        pass; only when some mass differs does every mass go through the
+        :func:`math.isclose` rule, in one ``map``, and a failure names the
+        lowest uneven cardinality.
         """
-        layers: dict[int, list[float]] = {}
-        for mask, mass in zip(self.masks, self.masses):
-            layers.setdefault(mask.bit_count(), []).append(mass)
-        rows = {}
-        for card in sorted(layers):
-            masses = layers[card]
-            if not all(
-                math.isclose(m, masses[0], rel_tol=SYMMETRY_TOLERANCE, abs_tol=0.0)
-                for m in masses
-            ):
+        masses = self.masses
+        # a frame holds at most 64 elements, so each cardinality fits a byte
+        cards = bytes(map(int.bit_count, self.masks))
+        # the masks ascend, so a layer's first entry is its lowest-mask set
+        shared = {
+            card: masses[cards.index(card)]
+            for card in range(1, self.frame.size + 1)
+            if card in cards
+        }
+        # each entry's layer mass: an equal mass is close, so the isclose
+        # rule runs only when some mass is not equal to its layer's
+        layered = _gather(cards)(shared)
+        if layered != masses:
+            close = map(partial(math.isclose, rel_tol=SYMMETRY_TOLERANCE, abs_tol=0.0),
+                        masses, layered)
+            uneven = min(compress(cards, map(not_, close)), default=0)
+            if uneven:
                 raise NotCardinalitySymmetricError(
-                    f"focal sets of cardinality {card} carry unequal masses"
+                    f"focal sets of cardinality {uneven} carry unequal masses"
                 )
-            rows[card] = (len(masses), masses[0])
+        rows = {card: (cards.count(card), mass) for card, mass in shared.items()}
         return CardinalityProfile.from_counts(self.frame.size, rows)
 
 
@@ -742,6 +781,15 @@ def _refuse_string(labels, taker: str):
         raise EvidenceError(f"{taker} takes an iterable of labels, not the string {_shown(labels)}")
 
 
+def _iterated(values, what: str) -> Iterator:
+    """An iterator over ``values``, or an :class:`EvidenceError` naming
+    them as ``what`` when they are not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise EvidenceError(f"{what} {_shown(values)} is not iterable") from None
+
+
 def _check_type(value, kind: type, what: str) -> None:
     """An :class:`EvidenceError` naming ``value`` unless it is a ``kind``."""
     if not isinstance(value, kind):
@@ -767,20 +815,9 @@ def _too_large(owner) -> EvidenceError:
     return EvidenceError(f"mass of {_name(owner)} is too large for a float")
 
 
-def _plain_columns(masks: list[int], masses: list) -> bool:
-    """True when every mass is a plain float, none is negative, NaN or
-    infinite, the sum is finite and the masks are distinct: then
-    :func:`_checked_entries` would raise nothing and keep every mass as it
-    is.  False sends the columns through that loop."""
-    if set(map(type, masses)) != {float}:
-        return False
-    # a NaN or infinite mass, or a sum past the largest float, makes the sum
-    # infinite or NaN; min then sees finite masses only
-    return (
-        math.isfinite(sum(masses))
-        and min(masses) >= 0.0
-        and len(set(masks)) == len(masks)
-    )
+def _ascending(column: Sequence) -> bool:
+    """True when each item is below the next: one C-level pass."""
+    return all(map(lt, column, islice(column, 1, None)))
 
 
 def _checked_entries(frame: Frame, masks: list[int], masses: list) -> dict[int, float]:

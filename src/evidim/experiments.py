@@ -208,6 +208,7 @@ def render_table(
 
 def render_plot_data(table: ConvergenceTable) -> str:
     """Full-precision (split_scale, entropy, N) columns for external plotting."""
+    _check_type(table, ConvergenceTable, "table")
     lines = ["split_scale_bits,entropy_bits,N"]
     lines += [
         f"{row.split_scale_bits!r},{row.entropy_bits!r},{row.n}" for row in table.rows

@@ -33,8 +33,14 @@ def brute_force_report(mass: MassFunction) -> DimensionReport:
 
 def compare_reports(a: DimensionReport, b: DimensionReport, tol: float) -> bool:
     """True iff the degenerate flags match and all numeric fields agree
-    within ``tol``, a real number (not a bool) above 0, or
-    :class:`EvidenceError` names it."""
+    within ``tol``.  A report that is not a :class:`DimensionReport`, or a
+    ``tol`` that is not a real number (not a bool) above 0, is an
+    :class:`EvidenceError` that names it."""
+    # its own check, as brute_force_report's: the oracle shares only the
+    # value types and the message rules with the main path
+    for which, report in (("first", a), ("second", b)):
+        if not isinstance(report, DimensionReport):
+            raise EvidenceError(f"{which} report {_shown(report)} is not a DimensionReport")
     if not (_is_real(tol) and tol > 0.0):
         raise EvidenceError(f"tolerance {_shown(tol)} is not a real number above 0")
     return (

@@ -20,6 +20,7 @@ from conftest import permute_mass, random_mass
 from evidim import (
     DEFAULT_EXPANSION_LIMIT,
     MASS_TOLERANCE,
+    SYMMETRY_TOLERANCE,
     CardinalityProfile,
     DuplicateLabelError,
     DuplicateSubsetError,
@@ -114,6 +115,35 @@ class TestFrame:
     def test_generic_size_below_one_rejected(self, size):
         with pytest.raises(EmptyFrameError):
             Frame.generic(size)
+
+
+class TestIterableArguments:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Frame(5), "frame labels 5 is not iterable"),
+            (lambda: Frame(None), "frame labels None is not iterable"),
+            (lambda: Frame.generic(2).subset(2.5), "subset labels 2.5 is not iterable"),
+            (lambda: ProbabilityDistribution(5), "probabilities 5 is not iterable"),
+            (lambda: MassFunction.from_assignments(Frame.generic(2), 5),
+             "assignments 5 is not iterable"),
+        ],
+        ids=["Frame-int", "Frame-None", "subset", "ProbabilityDistribution", "from_assignments"],
+    )
+    def test_an_argument_that_is_not_iterable_is_named(self, call, message):
+        # each escaped as a bare TypeError: 'int' object is not iterable
+        with pytest.raises(EvidenceError) as raised:
+            call()
+        assert type(raised.value) is EvidenceError
+        assert str(raised.value) == message
+
+    def test_a_type_error_while_iterating_is_not_renamed(self):
+        def labels():
+            yield "a"
+            raise TypeError("raised by the generator")
+
+        with pytest.raises(TypeError, match="^raised by the generator$"):
+            Frame(labels())
 
 
 class TestSubset:
@@ -353,18 +383,35 @@ ODD_MASSES = (
 ODD_MASKS = (0, -1, 16, 1 << 64, 1.0, True, "1", None, [1], Fraction(1))
 
 
+# Orders in which mass_columns lists its entries: as drawn, ascending by mask
+# (repeated masks side by side), each cardinality's masks descending with the
+# cardinalities ascending (the order CardinalityProfile.to_mass builds), and
+# shuffled, where repeated masks meet only once sorted.
+COLUMN_ORDERS = ("drawn", "ascending", "descending-runs", "shuffled")
+
+
 @st.composite
 def mass_columns(draw) -> tuple[Frame, list[int], list]:
-    """A 4-element frame and parallel mask and mass columns: masks distinct
-    or not, and equal float masses summing to 1 with zero masses among
-    them, a few replaced by values from ODD_MASSES or other floats, and
-    sometimes a mask by one from ODD_MASKS."""
+    """A 4-element frame and parallel mask and mass columns in one of
+    COLUMN_ORDERS: masks distinct or not, and equal float masses summing
+    to 1 with zero masses among them, a few replaced by values from
+    ODD_MASSES or other floats, and sometimes a mask by one from
+    ODD_MASKS."""
     frame = Frame.generic(4)
     size = draw(st.integers(min_value=0, max_value=6))
     zeros = draw(st.lists(st.sampled_from((0.0, -0.0)), max_size=2))
     masks = draw(st.lists(st.integers(min_value=1, max_value=15), min_size=size + len(zeros),
                           max_size=size + len(zeros), unique=draw(st.booleans())))
     masses = [1.0 / size] * size + zeros if size else zeros
+    order = draw(st.sampled_from(COLUMN_ORDERS))
+    entries = list(zip(masks, masses))
+    if order == "ascending":
+        entries.sort(key=lambda entry: entry[0])
+    elif order == "descending-runs":
+        entries.sort(key=lambda entry: (entry[0].bit_count(), -entry[0]))
+    elif order == "shuffled":
+        entries = draw(st.permutations(entries))
+    masks, masses = [mask for mask, _ in entries], [mass for _, mass in entries]
     for i in draw(st.lists(st.integers(min_value=0, max_value=len(masks) - 1), max_size=3)
                   if masks else st.just([])):
         masses[i] = draw(st.one_of(st.sampled_from(ODD_MASSES), st.floats(0.0, 1.0)))
@@ -485,6 +532,11 @@ class TestUnitTotal:
 
 class TestBulkCheck:
     @given(columns=mass_columns())
+    # a repeated mask that only the sort brings next to its twin, with a
+    # zero mass between; the same entries ascending; and descending runs
+    @example(columns=(Frame.generic(4), [6, 8, 3, 6], [0.5, 0.0, 0.5, 0.0]))
+    @example(columns=(Frame.generic(4), [3, 6, 6, 8], [0.5, 0.5, 0.0, 0.0]))
+    @example(columns=(Frame.generic(4), [8, 4, 2, 1, 12, 3], [0.25, 0.0, 0.25, 0.0, 0.25, 0.25]))
     @settings(max_examples=400, deadline=None)
     def test_bulk_check_never_changes_an_outcome(self, columns):
         frame, masks, masses = columns
@@ -942,6 +994,105 @@ def layered_masses(draw):
             if subset.cardinality == k:
                 assignments.append((subset, share))
     return MassFunction.from_assignments(frame, assignments)
+
+
+def _symmetry_edge(mass: float, sign: int, inside: bool) -> float:
+    """The double furthest from ``mass`` on the ``sign`` side that is close
+    to it under the symmetry rule, or the next one out from it."""
+    def close(other):
+        return math.isclose(other, mass, rel_tol=SYMMETRY_TOLERANCE, abs_tol=0.0)
+
+    away = math.inf if sign > 0 else 0.0
+    edge = mass * (1.0 + sign * SYMMETRY_TOLERANCE)
+    while not close(edge):
+        edge = math.nextafter(edge, mass)
+    while close(math.nextafter(edge, away)):
+        edge = math.nextafter(edge, away)
+    return edge if inside else math.nextafter(edge, away)
+
+
+@st.composite
+def near_symmetric_masses(draw) -> MassFunction:
+    """Mass functions on 1 to 6 elements, their layers full or partial, in
+    which each cardinality's focal sets share one mass, but for up to three
+    masses moved to the edge of SYMMETRY_TOLERANCE, one double past it, or
+    far past it."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1,
+                          max_size=1 << n, unique=True))
+    weights = {card: draw(st.floats(0.05, 1.0)) for card in sorted({m.bit_count() for m in masks})}
+    total = math.fsum(weights[mask.bit_count()] for mask in masks)
+    masses = [weights[mask.bit_count()] / total for mask in masks]
+    for i in draw(st.lists(st.integers(0, len(masks) - 1), max_size=3)):
+        sign = draw(st.sampled_from((-1, 1)))
+        where = draw(st.sampled_from(("edge", "past", "far")))
+        if where == "far":
+            masses[i] *= 1.0 + sign * 100 * SYMMETRY_TOLERANCE
+        else:
+            masses[i] = _symmetry_edge(masses[i], sign, inside=where == "edge")
+    return MassFunction(Frame.generic(n), masks, masses)
+
+
+def _per_entry_profile(mass: MassFunction) -> CardinalityProfile:
+    """The per-entry grouping the C-level one must agree with: the masses
+    of each cardinality in mask order, each within SYMMETRY_TOLERANCE of
+    the first, which the layer keeps, and the lowest uneven cardinality
+    named."""
+    layers = {}
+    for mask, value in zip(mass.masks, mass.masses):
+        layers.setdefault(mask.bit_count(), []).append(value)
+    rows = {}
+    for card in sorted(layers):
+        values = layers[card]
+        if not all(math.isclose(value, values[0], rel_tol=SYMMETRY_TOLERANCE, abs_tol=0.0)
+                   for value in values):
+            raise NotCardinalitySymmetricError(
+                f"focal sets of cardinality {card} carry unequal masses"
+            )
+        rows[card] = (len(values), values[0])
+    return CardinalityProfile.from_counts(mass.frame.size, rows)
+
+
+def _profile_outcome(build):
+    try:
+        return build()
+    except EvidenceError as exc:
+        return type(exc), str(exc)
+
+
+class TestProfileGrouping:
+    @given(mass=near_symmetric_masses())
+    @settings(max_examples=300, deadline=None)
+    def test_grouping_matches_the_per_entry_reference(self, mass):
+        assert (_profile_outcome(mass.to_profile)
+                == _profile_outcome(lambda: _per_entry_profile(mass)))
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_a_mass_at_the_edge_is_kept_apart_from_one_past_it(self, sign):
+        frame = Frame.generic(3)
+        share = 1 / 7
+        for inside in (True, False):
+            # the singletons {e1}, {e2}, {e3}, the second moved off the first
+            masses = [share, _symmetry_edge(share, sign, inside), share, *[share] * 4]
+            mass = MassFunction(frame, list(range(1, 8)), masses)
+            if inside:
+                profile = mass.to_profile()
+                assert profile == _per_entry_profile(mass)
+                assert profile.masses[0] == share
+                assert profile.counts == (3, 3, 1)
+            else:
+                message = "^focal sets of cardinality 1 carry unequal masses$"
+                with pytest.raises(NotCardinalitySymmetricError, match=message):
+                    mass.to_profile()
+
+    def test_the_lowest_uneven_cardinality_is_named(self):
+        # mask 7, of cardinality 3, comes before mask 9, of cardinality 2
+        share = 1 / 15
+        masses = [share] * 15
+        masses[7 - 1] = masses[9 - 1] = _symmetry_edge(share, 1, inside=False)
+        mass = MassFunction(Frame.generic(4), range(1, 16), masses)
+        with pytest.raises(NotCardinalitySymmetricError, match="cardinality 2 carry"):
+            mass.to_profile()
 
 
 class TestRoundTrip:

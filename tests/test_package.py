@@ -70,10 +70,16 @@ def test_measurement_pattern_tells_figures_from_rules():
         (lambda: evidim.render_table(None), "table None is not a ConvergenceTable"),
         (lambda: evidim.mass_to_json(None), "mass None is not a MassFunction"),
         (lambda: evidim.brute_force_report("x"), "mass 'x' is not a MassFunction"),
+        (lambda: evidim.compare_reports(None, None, 1e-9),
+         "first report None is not a DimensionReport"),
+        (lambda: evidim.compare_reports(evidim.DimensionReport(0.0, 0.0, 0.0, True), (0.0,), 1.0),
+         "second report (0.0,) is not a DimensionReport"),
+        (lambda: evidim.render_plot_data(None), "table None is not a ConvergenceTable"),
     ],
     ids=[
         "information_dimension", "information_dimension_profile", "probability_dimension",
         "detect_limit", "render_table", "mass_to_json", "brute_force_report",
+        "compare_reports-first", "compare_reports-second", "render_plot_data",
     ],
 )
 def test_a_wrong_argument_type_is_named(call, message):
